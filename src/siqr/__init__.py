@@ -45,8 +45,8 @@ from .observer import (
     ObserverState,
     assemble_m1,
     assemble_m2,
+    beta_hat,
     char_poly,
-    estimate,
     gains,
     guard_measurements,
     observer_rhs,

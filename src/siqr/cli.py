@@ -14,7 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    DivergenceError,
+    DomainError,
+    MeasurementError,
+    RegimeError,
+    RootSelectionError,
+    SingularPointError,
+)
 from .identify import check_initial_inequalities, recover_full, recover_simplified
 from .integrator import IntegratorConfig, integrate
 from .models import EpidemicState, ModelKind, check_assumptions, vector_field
@@ -39,7 +48,11 @@ __all__ = [
 def load_scenario(path) -> Scenario:
     if path is None:
         return parse_scenario("")
-    return parse_scenario(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return parse_scenario(text)
 
 
 def _fmt(value) -> str:
@@ -60,7 +73,10 @@ def _write_csv(path: Path, header, columns) -> None:
 
 def _out_dir(scenario: Scenario) -> Path:
     out = Path(scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"out.dir: {exc}") from exc
     return out
 
 
@@ -166,19 +182,19 @@ def cmd_estimate(scenario: Scenario, noisy: bool = True):
 
 def cmd_identify(scenario: Scenario, t: float):
     """Closed-form parameter recovery from the noise-free jet at time t."""
-    if not 0 < t <= scenario.horizon:
-        raise ConfigError(f"--t must lie in (0, horizon], got {t!r}")
+    if not scenario.dt <= t <= scenario.horizon:
+        raise ConfigError(f"--t must lie in [sim.dt, sim.horizon], got {t!r}")
     cfg = IntegratorConfig(dt=scenario.dt, horizon=t)
     field = vector_field(scenario.kind, scenario.params())
     traj = integrate(field, scenario.initial_state().as_array(), cfg)
     jet = output_jets(
         EpidemicState.from_array(traj.states[-1]), scenario.params(), scenario.kind, t=t
     )
-    y1_at_0 = scenario.alpha * scenario.I0
-    if scenario.kind is ModelKind.FULL:
-        rec = recover_full(jet, y1_at_0, scenario.N)
-    else:
-        rec = recover_simplified(jet, y1_at_0, scenario.N)
+    recover = recover_full if scenario.kind is ModelKind.FULL else recover_simplified
+    try:
+        rec = recover(jet, scenario.alpha * scenario.I0, scenario.N)
+    except (SingularPointError, RootSelectionError, DegenerateInputError, RegimeError) as exc:
+        raise ConfigError(f"no closed-form recovery at --t {t!r}: {exc}") from exc
     truth = {
         "rho": scenario.rho,
         "alpha": scenario.alpha,
@@ -241,10 +257,13 @@ def main(argv=None) -> int:
             cmd_identify(scenario, args.t)
         elif args.command == "check":
             cmd_check(scenario)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, MeasurementError, OSError) as exc:
+        # MeasurementError: the scenario's measurements have no positive
+        # sample (noise clamped them all, or alpha*I0 underflowed).
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
+    except (DivergenceError, DomainError) as exc:
+        # A DomainError mid-run is RK4 stepping the full model past Q = N.
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
     return 0

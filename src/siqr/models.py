@@ -38,7 +38,8 @@ class ModelParams:
 
     beta is the infectivity rate, rho the recovery rate (shared by free
     and quarantined infected individuals), alpha the rate of placement
-    in quarantine.
+    in quarantine. Each ValueError message starts with the name of the
+    field at fault.
     """
 
     beta: float
@@ -50,7 +51,7 @@ class ModelParams:
         for name in ("beta", "rho", "alpha", "N"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -59,15 +59,20 @@ class NoiseSpec:
     """Multiplicative Gaussian measurement noise.
 
     relative_sigma is the standard deviation as a fraction of the
-    instantaneous signal value.
+    instantaneous signal value. Each ValueError message starts with the
+    name of the field at fault.
     """
 
     relative_sigma: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        if self.relative_sigma < 0:
-            raise ValueError("relative_sigma must be non-negative")
+        if not (np.isfinite(self.relative_sigma) and self.relative_sigma >= 0):
+            raise ValueError(
+                f"relative_sigma must be finite and non-negative, got {self.relative_sigma!r}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 def observe(traj: Trajectory, alpha: float) -> OutputSeries:

@@ -42,7 +42,7 @@ __all__ = [
     "observer_rhs",
     "guard_measurements",
     "run_observer",
-    "estimate",
+    "beta_hat",
     "assemble_m1",
     "assemble_m2",
     "char_poly",
@@ -83,15 +83,18 @@ class GainSet:
 
 
 def gains(lam, mu) -> GainSet:
-    """Gain vector from 4 + 3 positive pole values."""
+    """Gain vector from 4 + 3 finite positive pole values.
+
+    Each ValueError message starts with the name of the pole vector at
+    fault, `lambda` or `mu`.
+    """
     lam = tuple(float(v) for v in lam)
     mu = tuple(float(v) for v in mu)
-    if len(lam) != 4:
-        raise ValueError(f"lambda must have 4 entries, got {len(lam)}")
-    if len(mu) != 3:
-        raise ValueError(f"mu must have 3 entries, got {len(mu)}")
-    if min(lam) <= 0 or min(mu) <= 0:
-        raise ValueError("all poles must be strictly positive")
+    for name, poles, arity in (("lambda", lam, 4), ("mu", mu, 3)):
+        if len(poles) != arity:
+            raise ValueError(f"{name} must have {arity} entries, got {len(poles)}")
+        if not all(math.isfinite(p) and p > 0 for p in poles):
+            raise ValueError(f"{name} entries must be finite and strictly positive, got {poles!r}")
     s1, s2, s3, s4 = (sigma(lam, k) for k in (1, 2, 3, 4))
     m1, m2, m3 = (sigma(mu, k) for k in (1, 2, 3))
     K = (s1, s1 + s3, -s4, -(s2 + s4 + 1.0), m1, m2, -m3)
@@ -135,8 +138,14 @@ class ObserverState:
         return cls(*(float(v) for v in x))
 
 
-def _beta_hat(k_hat, delta_hat):
-    """Smaller root of beta^2 - k*beta + k*delta = 0, discriminant clamped at 0."""
+def beta_hat(k_hat, delta_hat):
+    """The estimator map: beta_hat from the observer's (k_hat, delta_hat).
+
+    beta_hat is the smaller root of beta^2 - k*beta + k*delta = 0, with
+    the discriminant clamped at zero so the map is total; alpha_hat is
+    beta_hat - delta_hat and rho_hat is read off the state directly.
+    Acts elementwise on arrays.
+    """
     disc = k_hat * k_hat - 4.0 * delta_hat * k_hat
     return 0.5 * (k_hat - np.sqrt(np.maximum(disc, 0.0)))
 
@@ -150,14 +159,14 @@ def _field(x, y1, y2, K, N, full):
         # Quarantine outflow: with S ~ N - Q the full model's growth rate
         # bends by beta*Q'/N with Q' = y1 - rho*y2. A negative beta_hat
         # (transient k_hat < 0) would feed this term back into k_hat with
-        # the wrong sign, so it is floored at zero. beta_hat is the
-        # estimator map's (`_beta_hat`), in scalar arithmetic: numpy's
-        # scalar ufuncs here would add about a third to the field's cost.
+        # the wrong sign, so it is floored at zero. This is the estimator
+        # map `beta_hat` in scalar arithmetic: numpy's scalar ufuncs here
+        # would add about a third to the field's cost.
         k_hat, delta_hat = float(x[6]), float(x[2])
         disc = k_hat * k_hat - 4.0 * delta_hat * k_hat
-        beta_hat = 0.5 * (k_hat - math.sqrt(disc)) if disc > 0 else 0.5 * k_hat
-        if beta_hat > 0:
-            curvature += beta_hat * (y1 - x[3] * y2) / N
+        beta = 0.5 * (k_hat - math.sqrt(disc)) if disc > 0 else 0.5 * k_hat
+        if beta > 0:
+            curvature += beta * (y1 - x[3] * y2) / N
     return np.array(
         [
             x[2] - x[3] - K[0] * innov_z1,
@@ -225,16 +234,6 @@ def guard_measurements(series: OutputSeries):
         counts[0],
         counts[1],
     )
-
-
-def estimate(x: ObserverState):
-    """Map one observer state to (rho_hat, beta_hat, alpha_hat).
-
-    beta_hat is the smaller root of beta^2 - k*beta + k*delta = 0; the
-    discriminant is clamped at zero so the map is total.
-    """
-    beta_hat = _beta_hat(x.k_hat, x.delta_hat)
-    return float(x.rho_hat), float(beta_hat), float(beta_hat - x.delta_hat)
 
 
 @dataclass
@@ -306,15 +305,15 @@ def run_observer(
     rho_hat = traj.states[:, 3]
     k_hat = traj.states[:, 6]
     clamp = k_hat * k_hat - 4.0 * delta_hat * k_hat < 0
-    beta_hat = _beta_hat(k_hat, delta_hat)
-    alpha_hat = beta_hat - delta_hat
+    beta = beta_hat(k_hat, delta_hat)
+    alpha_hat = beta - delta_hat
     y1_on_grid = np.interp(traj.times, guarded.times, guarded.y1)
     with np.errstate(divide="ignore", invalid="ignore"):
         i_hat = np.where(alpha_hat > ALPHA_FLOOR, y1_on_grid / alpha_hat, np.nan)
     estimates = EstimateSeries(
         times=traj.times,
         rho_hat=rho_hat.copy(),
-        beta_hat=beta_hat,
+        beta_hat=beta,
         alpha_hat=alpha_hat,
         I_hat=i_hat,
         clamp_active=clamp,

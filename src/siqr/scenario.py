@@ -21,7 +21,8 @@ so on noisy data the seed vector is the safer setting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +41,15 @@ REFERENCE_MU = tuple(m / min(DEFAULT_MU) for m in DEFAULT_MU)
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's settings, valid by construction.
+
+    Construction builds the parts once: ModelParams, IntegratorConfig,
+    NoiseSpec and the GainSet each check their own ranges, and their
+    ValueError becomes a ConfigError naming the scenario key. Checked
+    here are only the rules no part owns: the initial counts and
+    observer guesses, and a smoothing window that fits the run.
+    """
+
     kind: ModelKind = ModelKind.FULL
     beta: float = 0.4
     rho: float = 0.1
@@ -60,6 +70,40 @@ class Scenario:
     v0: float = 0.1
     k0: float = 1.0
     out_dir: str = "out"
+
+    def __post_init__(self):
+        for prefix, build in (
+            ("params", self.params),
+            ("sim", self.integrator_config),
+            ("noise", self.noise_spec),
+            ("poles", self.gain_set),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                # Each part's message starts with its field's name, so
+                # "beta must be ..." reads "params.beta must be ...".
+                raise ConfigError(f"{prefix}.{exc}") from exc
+        if not (math.isfinite(self.I0) and self.I0 > 0):
+            raise ConfigError(f"init.I0 must be finite and strictly positive, got {self.I0!r}")
+        for key, value in (("init.Q0", self.Q0), ("init.R0", self.R0)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and non-negative, got {value!r}")
+        if not self.initial_state().S > 0:
+            raise ConfigError("initial compartments exceed the population size params.N")
+        samples = self.integrator_config().n_steps + 1
+        if not (1 <= self.smooth_window <= samples and self.smooth_window % 2 == 1):
+            raise ConfigError(
+                f"smooth.window must be odd and in [1, {samples}], got {self.smooth_window!r}"
+            )
+        for key, value in (
+            ("observer.delta0", self.delta0),
+            ("observer.rho0", self.rho0),
+            ("observer.v0", self.v0),
+            ("observer.k0", self.k0),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
 
     def params(self) -> ModelParams:
         return ModelParams(beta=self.beta, rho=self.rho, alpha=self.alpha, N=self.N)
@@ -89,108 +133,41 @@ class Scenario:
         )
 
 
-def _parse_kind(text):
-    try:
-        return ModelKind(text.strip().lower())
-    except ValueError:
-        raise ConfigError(f"model.kind must be 'full' or 'simplified', got {text!r}")
+def _parse_floats(text):
+    return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def _parse_floats(text, arity, key):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if len(parts) != arity:
-        raise ConfigError(f"{key} must have {arity} comma-separated values, got {len(parts)}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _float(key):
-    def parse(text):
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {text!r}") from exc
-
-    return parse
-
-
-def _int(key):
-    def parse(text):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {text!r}") from exc
-
-    return parse
-
-
+# key -> (Scenario field, converter of the value text)
 _KEYS = {
-    "model.kind": ("kind", _parse_kind),
-    "params.beta": ("beta", _float("params.beta")),
-    "params.rho": ("rho", _float("params.rho")),
-    "params.alpha": ("alpha", _float("params.alpha")),
-    "params.N": ("N", _float("params.N")),
-    "init.I0": ("I0", _float("init.I0")),
-    "init.Q0": ("Q0", _float("init.Q0")),
-    "init.R0": ("R0", _float("init.R0")),
-    "sim.dt": ("dt", _float("sim.dt")),
-    "sim.horizon": ("horizon", _float("sim.horizon")),
-    "poles.lambda": ("lam", lambda t: _parse_floats(t, 4, "poles.lambda")),
-    "poles.mu": ("mu", lambda t: _parse_floats(t, 3, "poles.mu")),
-    "noise.relative_sigma": ("relative_sigma", _float("noise.relative_sigma")),
-    "noise.seed": ("seed", _int("noise.seed")),
-    "smooth.window": ("smooth_window", _int("smooth.window")),
-    "observer.delta0": ("delta0", _float("observer.delta0")),
-    "observer.rho0": ("rho0", _float("observer.rho0")),
-    "observer.v0": ("v0", _float("observer.v0")),
-    "observer.k0": ("k0", _float("observer.k0")),
-    "out.dir": ("out_dir", lambda t: t),
+    "model.kind": ("kind", lambda text: ModelKind(text.lower())),
+    "params.beta": ("beta", float),
+    "params.rho": ("rho", float),
+    "params.alpha": ("alpha", float),
+    "params.N": ("N", float),
+    "init.I0": ("I0", float),
+    "init.Q0": ("Q0", float),
+    "init.R0": ("R0", float),
+    "sim.dt": ("dt", float),
+    "sim.horizon": ("horizon", float),
+    "poles.lambda": ("lam", _parse_floats),
+    "poles.mu": ("mu", _parse_floats),
+    "noise.relative_sigma": ("relative_sigma", float),
+    "noise.seed": ("seed", int),
+    "smooth.window": ("smooth_window", int),
+    "observer.delta0": ("delta0", float),
+    "observer.rho0": ("rho0", float),
+    "observer.v0": ("v0", float),
+    "observer.k0": ("k0", float),
+    "out.dir": ("out_dir", str),
 }
-
-
-def _validate(sc: Scenario) -> Scenario:
-    for key, value in (
-        ("params.beta", sc.beta),
-        ("params.rho", sc.rho),
-        ("params.alpha", sc.alpha),
-        ("params.N", sc.N),
-        ("sim.dt", sc.dt),
-    ):
-        if not value > 0:
-            raise ConfigError(f"{key} must be strictly positive, got {value!r}")
-    if not sc.I0 > 0:
-        raise ConfigError(f"init.I0 must be strictly positive, got {sc.I0!r}")
-    for key, value in (("init.Q0", sc.Q0), ("init.R0", sc.R0)):
-        if value < 0:
-            raise ConfigError(f"{key} must be non-negative, got {value!r}")
-    if sc.horizon < sc.dt:
-        raise ConfigError(
-            f"sim.horizon must be at least sim.dt, got {sc.horizon!r} < {sc.dt!r}"
-        )
-    if sc.N - sc.I0 - sc.Q0 - sc.R0 <= 0:
-        raise ConfigError("initial compartments exceed the population size params.N")
-    if min(sc.lam) <= 0:
-        raise ConfigError("poles.lambda entries must be strictly positive")
-    if min(sc.mu) <= 0:
-        raise ConfigError("poles.mu entries must be strictly positive")
-    if sc.relative_sigma < 0:
-        raise ConfigError(
-            f"noise.relative_sigma must be non-negative, got {sc.relative_sigma!r}"
-        )
-    if sc.smooth_window < 1 or sc.smooth_window % 2 == 0:
-        raise ConfigError(
-            f"smooth.window must be odd and >= 1, got {sc.smooth_window!r}"
-        )
-    return sc
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse a flat key-value document; missing keys keep their defaults.
 
     One `key = value` pair per line; blank lines and lines starting with
-    '#' are ignored; unknown keys are rejected.
+    '#' are ignored; unknown keys are rejected. Raises ConfigError
+    naming the key of a value that does not convert or is out of range.
     """
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -204,8 +181,11 @@ def parse_scenario(text: str) -> Scenario:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field_name, parser = _KEYS[key]
+        field_name, convert = _KEYS[key]
         if field_name in overrides:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        overrides[field_name] = parser(value)
-    return _validate(replace(Scenario(), **overrides))
+        try:
+            overrides[field_name] = convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
+    return Scenario(**overrides)

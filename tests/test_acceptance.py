@@ -25,8 +25,8 @@ from siqr import (
     ObserverState,
     assemble_m1,
     assemble_m2,
+    beta_hat,
     char_poly,
-    estimate,
     check_initial_inequalities,
     gains,
     integrate,
@@ -210,11 +210,11 @@ def test_criterion_7_estimator_round_trip():
         alpha = rng.uniform(0.01, 0.3)
         rho = alpha + rng.uniform(0.0, 0.3)  # assumption: rho >= alpha
         beta = (rho + alpha) * rng.uniform(1.05, 3.0)
-        x = ObserverState(0, 0, beta - alpha, rho, 0, 0, beta**2 / alpha)
-        _, beta_out, alpha_out = estimate(x)
+        beta_out = beta_hat(beta**2 / alpha, beta - alpha)
+        alpha_out = beta_out - (beta - alpha)
         worst = max(worst, abs(beta_out - beta) / beta, abs(alpha_out - alpha) / alpha)
-    pinned = ObserverState(0, 0, 0.33, 0.1, 0, 0, 2.285714)
-    _, beta_p, alpha_p = estimate(pinned)
+    beta_p = beta_hat(2.285714, 0.33)
+    alpha_p = beta_p - 0.33
     pinned_ok = abs(beta_p - 0.4) / 0.4 < 1e-6 and abs(alpha_p - 0.07) / 0.07 < 1e-5
     ok = worst < 1e-12 and pinned_ok
     assert report(

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siqr import ConfigError, ModelKind, parse_scenario
 from siqr.cli import (
@@ -90,6 +96,37 @@ def test_zero_initial_infected_rejected():
 def test_horizon_shorter_than_step_rejected():
     with pytest.raises(ConfigError, match="sim.horizon"):
         parse_scenario("sim.horizon = 0.001")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("params.beta = inf", "params.beta"),
+        ("params.N = inf", "params.N"),
+        ("sim.horizon = inf", "sim.horizon"),
+        ("sim.horizon = 1e9", "sim.horizon"),  # 1e11 steps, past the step cap
+        ("sim.dt = nan", "sim.dt"),
+        ("noise.seed = -1", "noise.seed"),
+        ("noise.relative_sigma = nan", "noise.relative_sigma"),
+        ("smooth.window = 2001", "smooth.window"),
+        ("init.Q0 = nan", "init.Q0"),
+        ("init.R0 = -inf", "init.R0"),
+        ("poles.lambda = 1, nan, 2, 3", "poles.lambda"),
+        ("poles.mu = nan, 1, 1", "poles.mu"),
+        ("observer.k0 = inf", "observer.k0"),
+        ("params.rho = fast", "params.rho"),
+        ("noise.seed = 1.5", "noise.seed"),
+        ("model.kind = sir", "model.kind"),
+    ],
+)
+def test_out_of_range_value_names_the_key(text, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_scenario(text)
+
+
+def test_replace_takes_the_parsers_path():
+    with pytest.raises(ConfigError, match="params.beta"):
+        replace(parse_scenario(""), beta=float("nan"))
 
 
 # --- commands ---------------------------------------------------------------
@@ -216,6 +253,14 @@ def test_main_missing_config_file_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [b"params.beta = \xff\n", b"out.dir = a\x00b\n"])
+def test_main_unusable_config_text_exits_two(tmp_path, capsys, content):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(content)
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_divergence_exits_three(tmp_path, capsys):
     config = tmp_path / "scenario.cfg"
     config.write_text(
@@ -227,8 +272,117 @@ def test_main_divergence_exits_three(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_main_model_domain_overshoot_exits_three(tmp_path, capsys):
+    # alpha*dt = 25: the first RK4 step carries Q past N in the full model.
+    config = tmp_path / "scenario.cfg"
+    config.write_text(
+        "params.alpha = 50\nsim.dt = 0.5\nsmooth.window = 1\n"
+        f"out.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["simulate", "--config", str(config)]) == 3
+    assert "Q < N" in capsys.readouterr().err
+
+
 def test_main_estimate_no_noise_runs(tmp_path, capsys):
     config = tmp_path / "scenario.cfg"
     config.write_text(f"out.dir = {tmp_path / 'out'}\n")
     assert main(["estimate", "--config", str(config), "--no-noise"]) == 0
     capsys.readouterr()
+
+
+# --- exit-code contract -------------------------------------------------------
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _poles(arity, values):
+    return st.lists(values, min_size=arity, max_size=arity).map(", ".join)
+
+
+_SPECIAL = st.sampled_from(["", "0", "-0.0", "-1", "inf", "-inf", "nan", "1e308", "-1e308", "5e-324"])
+_ANY_FLOAT = st.one_of(_SPECIAL, st.floats(allow_nan=True).map(repr))
+_ANY_INT = st.one_of(_SPECIAL, st.integers().map(str))
+
+# Values a run can use. sim.dt >= 0.05 and sim.horizon <= 2 keep each run
+# within 40 steps; smooth.window is always set, since the default (101)
+# needs at least 100 steps.
+_RUNNABLE = {
+    "sim.dt": _floats(0.05, 0.5),
+    "sim.horizon": _floats(0.05, 2.0),
+    "smooth.window": st.integers(0, 10).map(lambda k: str(2 * k + 1)),
+}
+_OPTIONAL = {
+    "model.kind": st.sampled_from(["full", "simplified"]),
+    "params.beta": _floats(0.01, 5.0),
+    "params.rho": _floats(0.01, 2.0),
+    "params.alpha": _floats(0.01, 2.0),
+    "params.N": _floats(10.0, 1e7),
+    "init.I0": _floats(0.1, 100.0),
+    "init.Q0": _floats(0.0, 100.0),
+    "init.R0": _floats(0.0, 100.0),
+    "poles.lambda": _poles(4, _floats(0.1, 10.0)),
+    "poles.mu": _poles(3, _floats(0.01, 5.0)),
+    "noise.relative_sigma": _floats(0.0, 1.0),
+    "noise.seed": st.integers(0, 2**32).map(str),
+    "observer.delta0": _floats(-2.0, 2.0),
+    "observer.rho0": _floats(-2.0, 2.0),
+    "observer.v0": _floats(-2.0, 2.0),
+    "observer.k0": _floats(-5.0, 5.0),
+}
+# Out-of-range and malformed values, any key. sim.dt and sim.horizon
+# only take values the parser rejects or runs within the step bound.
+_EXTREME = {
+    **{key: _ANY_FLOAT for key in _OPTIONAL},
+    "model.kind": st.sampled_from(["", "Full", "sir"]),
+    "sim.dt": st.one_of(_SPECIAL, st.floats(max_value=0.0).map(repr)),
+    "sim.horizon": st.one_of(_SPECIAL, st.floats(max_value=2.0).map(repr)),
+    "poles.lambda": st.lists(_ANY_FLOAT, max_size=5).map(", ".join),
+    "poles.mu": st.lists(_ANY_FLOAT, max_size=5).map(", ".join),
+    "noise.seed": _ANY_INT,
+    "smooth.window": _ANY_INT,
+}
+_EXTREME_ITEMS = st.lists(
+    st.sampled_from(sorted(_EXTREME)).flatmap(lambda k: _EXTREME[k].map(lambda v: (k, v))),
+    max_size=3,
+).map(dict)
+
+
+_SHORT_RUN = {"sim.dt": "0.5", "sim.horizon": "2", "smooth.window": "1"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on extreme values
+@settings(max_examples=300, deadline=None)
+@example(  # the first RK4 step carries Q past N
+    runnable=_SHORT_RUN, extreme={"params.alpha": "50"}, command="simulate", t="1", noisy=True
+)
+@example(  # alpha*I0 underflows: no positive measurement
+    runnable={**_SHORT_RUN, "params.alpha": "1e-300", "init.I0": "1e-300"},
+    extreme={}, command="estimate", t="1", noisy=False,
+)
+@example(  # the recovery quadratic vanishes
+    runnable=_SHORT_RUN, extreme={"params.N": "1e300"}, command="identify", t="1", noisy=True
+)
+@given(
+    runnable=st.fixed_dictionaries(_RUNNABLE, optional=_OPTIONAL),
+    extreme=_EXTREME_ITEMS,
+    command=st.sampled_from(["simulate", "observe", "estimate", "identify", "check"]),
+    t=st.one_of(_floats(0.0, 2.0), _ANY_FLOAT),
+    noisy=st.booleans(),
+)
+def test_main_exit_code_is_in_the_contract(runnable, extreme, command, t, noisy):
+    # 0 ok, 2 config error, 3 numerical divergence; anything else is a crash.
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.cfg"
+        lines = [f"{key} = {value}" for key, value in {**runnable, **extreme}.items()]
+        config.write_text("\n".join(lines + [f"out.dir = {Path(tmp) / 'out'}"]) + "\n")
+        argv = [command, "--config", str(config), f"--t={t}"]
+        if not noisy:
+            argv.append("--no-noise")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejecting --t
+                code = exc.code
+    assert code in (0, 2, 3)

@@ -12,8 +12,8 @@ from siqr import (
     OutputSeries,
     assemble_m1,
     assemble_m2,
+    beta_hat,
     char_poly,
-    estimate,
     gains,
     guard_measurements,
     observer_rhs,
@@ -178,23 +178,19 @@ def test_observer_single_step_golden_value():
 
 
 def test_estimate_reference_round_trip():
-    x = ObserverState(0, 0, delta_hat=0.33, rho_hat=0.1, y1_hat=0, v_hat=0, k_hat=2.285714)
-    rho, beta, alpha = estimate(x)
-    assert rho == 0.1
+    beta = beta_hat(2.285714, 0.33)
     assert beta == pytest.approx(0.4, rel=1e-6)
-    assert alpha == pytest.approx(0.07, rel=1e-5)
+    assert beta - 0.33 == pytest.approx(0.07, rel=1e-5)
 
 
 def test_estimate_zero_delta_collapses():
-    x = ObserverState(0, 0, delta_hat=0.0, rho_hat=0.1, y1_hat=0, v_hat=0, k_hat=1.7)
-    _, beta, alpha = estimate(x)
+    beta = beta_hat(1.7, 0.0)
     assert beta == 0.0
-    assert alpha == 0.0
+    assert beta - 0.0 == 0.0
 
 
 def test_estimate_nonpositive_k_flags_nonphysical_sign():
-    x = ObserverState(0, 0, delta_hat=0.1, rho_hat=0.1, y1_hat=0, v_hat=0, k_hat=-1.0)
-    _, beta, _ = estimate(x)
+    beta = beta_hat(-1.0, 0.1)
     assert beta <= 0.0
     assert beta <= -1.0 / 2.0  # never exceeds k/2
 
@@ -209,14 +205,11 @@ def test_estimator_round_trip_exact(alpha, rho_gap, multiplier):
     # With rho >= alpha and beta > rho + alpha the smaller root is beta.
     rho = alpha + rho_gap
     beta = (rho + alpha) * multiplier
-    x = ObserverState(
-        0, 0, delta_hat=beta - alpha, rho_hat=rho, y1_hat=0, v_hat=0, k_hat=beta**2 / alpha
-    )
-    rho_out, beta_out, alpha_out = estimate(x)
-    assert rho_out == rho
+    k_hat, delta_hat = beta**2 / alpha, beta - alpha
+    beta_out = beta_hat(k_hat, delta_hat)
     assert beta_out == pytest.approx(beta, rel=1e-12)
-    assert alpha_out == pytest.approx(alpha, rel=1e-12)
-    assert beta_out <= x.k_hat / 2.0
+    assert beta_out - delta_hat == pytest.approx(alpha, rel=1e-12)
+    assert beta_out <= k_hat / 2.0
 
 
 # --- matrices and pole placement -------------------------------------------
