@@ -19,7 +19,7 @@ from .identify import (
     recover_rho,
     recover_simplified,
 )
-from .integrator import IntegratorConfig, Trajectory, integrate, integrate_driven
+from .integrator import IntegratorConfig, Trajectory, integrate
 from .models import (
     EpidemicState,
     ModelKind,

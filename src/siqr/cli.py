@@ -147,7 +147,10 @@ def cmd_estimate(scenario: Scenario, noisy: bool = True):
     """
     traj, run = estimate_scenario(scenario, noisy)
     est = run.estimates
-    i_hat_smoothed = moving_average(est.I_hat, scenario.smooth_window)
+    try:
+        i_hat_smoothed = moving_average(est.I_hat, scenario.smooth_window)
+    except ValueError as exc:  # the window is wider than the series
+        raise ConfigError(f"smooth.window: {exc}") from exc
 
     out = _out_dir(scenario)
     _write_csv(

@@ -1,10 +1,10 @@
 """Fixed-step classical Runge-Kutta integration.
 
-Two entry points: `integrate` for autonomous systems and
-`integrate_driven` for systems forced by sampled exogenous inputs
-(interpolated linearly at the RK4 stage times). The trajectories here
-are smooth and slow over a ten-day horizon, so a fixed step keeps the
-runs deterministic and trivially reproducible.
+One entry point, `integrate`, steps both the SIQR model (autonomous)
+and the observer (forced by sampled measurements, interpolated linearly
+at the RK4 stage times), and reports a state that stops being finite.
+The trajectories here are smooth and slow over a ten-day horizon, so a
+fixed step keeps the runs deterministic and trivially reproducible.
 """
 from __future__ import annotations
 
@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MAX_STEPS", "IntegratorConfig", "Trajectory", "integrate", "integrate_driven"]
+from .errors import DivergenceError
+
+__all__ = ["MAX_STEPS", "IntegratorConfig", "Trajectory", "integrate"]
 
 # A run stores every step: 10**6 steps of the 7-state observer hold
 # 56 MB of states and take tens of seconds of RK4 in pure Python.
@@ -70,74 +72,66 @@ def _attach_time(exc, t):
     raise type(exc)(f"{exc} (rhs evaluation at t={t:.6g})") from exc
 
 
-def integrate(rhs, x0, cfg: IntegratorConfig) -> Trajectory:
-    """Classical RK4 for an autonomous system x' = rhs(x).
+def _stage_inputs(inputs, cfg: IntegratorConfig):
+    """Input rows at the step nodes and at the half steps.
 
-    Exceptions raised by rhs are re-raised with the offending time
-    attached to the message.
+    `inputs` is (times, values) with one row of values per time; the
+    rows are interpolated linearly (a zero-order hold would bias the
+    driven system by O(dt)) and must cover [0, horizon].
     """
-    x = np.asarray(x0, dtype=float)
-    n = cfg.n_steps
-    dt = cfg.dt
-    states = np.empty((n + 1, x.size))
-    states[0] = x
-    for i in range(n):
-        t = i * dt
-        try:
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * dt * k1)
-            k3 = rhs(x + 0.5 * dt * k2)
-            k4 = rhs(x + dt * k3)
-        except Exception as exc:  # noqa: BLE001 - context is the point
-            _attach_time(exc, t)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = x
-    return Trajectory(times=cfg.times, states=states, dt=dt)
-
-
-def integrate_driven(rhs, x0, input_times, input_values, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 for x' = rhs(x, u, t) with u sampled on a uniform grid.
-
-    The input samples must cover [0, horizon]; values at the RK4 half
-    steps are obtained by linear interpolation between samples (a
-    zero-order hold would bias the driven system by O(dt)).
-    """
-    input_times = np.asarray(input_times, dtype=float)
-    input_values = np.atleast_2d(np.asarray(input_values, dtype=float))
-    if input_values.shape[0] != input_times.size:
-        input_values = input_values.T
-    if input_values.shape[0] != input_times.size:
-        raise ValueError("input_values must align with input_times")
+    times, values = (np.asarray(a, dtype=float) for a in inputs)
+    if values.ndim != 2 or values.shape[0] != times.size:
+        raise ValueError("input values must have one row per input time")
     end = cfg.n_steps * cfg.dt
-    if input_times[0] > 1e-12 or input_times[-1] < end - 1e-9:
+    if times[0] > 1e-12 or times[-1] < end - 1e-9:
         raise ValueError(
-            f"input series covers [{input_times[0]:.6g}, {input_times[-1]:.6g}] "
+            f"input series covers [{times[0]:.6g}, {times[-1]:.6g}] "
             f"but the integration needs [0, {end:.6g}]"
         )
 
-    nodes = cfg.times
-    mids = nodes[:-1] + 0.5 * cfg.dt
-    u_nodes = np.column_stack(
-        [np.interp(nodes, input_times, input_values[:, j]) for j in range(input_values.shape[1])]
-    )
-    u_mids = np.column_stack(
-        [np.interp(mids, input_times, input_values[:, j]) for j in range(input_values.shape[1])]
-    )
+    def rows(at):
+        return list(map(tuple, np.column_stack([np.interp(at, times, v) for v in values.T])))
 
-    x = np.asarray(x0, dtype=float)
+    nodes = cfg.times
+    return rows(nodes), rows(nodes[:-1] + 0.5 * cfg.dt)
+
+
+def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
+    """Classical RK4 for x' = rhs(x, *u).
+
+    Without `inputs` the system is autonomous and u is empty. With
+    `inputs = (times, values)`, one row of values per time covering
+    [0, horizon], u is the row interpolated linearly at each RK4 stage
+    time. Exceptions raised by rhs are re-raised with the offending time
+    attached to the message. Raises DivergenceError, with the time of
+    the first step whose state is not finite, if the state stops being
+    finite.
+    """
     n = cfg.n_steps
     dt = cfg.dt
+    if inputs is None:
+        u_nodes = u_mids = [()] * (n + 1)
+    else:
+        u_nodes, u_mids = _stage_inputs(inputs, cfg)
+    x = np.asarray(x0, dtype=float)
     states = np.empty((n + 1, x.size))
     states[0] = x
-    for i in range(n):
-        t = nodes[i]
-        try:
-            k1 = rhs(x, u_nodes[i], t)
-            k2 = rhs(x + 0.5 * dt * k1, u_mids[i], t + 0.5 * dt)
-            k3 = rhs(x + 0.5 * dt * k2, u_mids[i], t + 0.5 * dt)
-            k4 = rhs(x + dt * k3, u_nodes[i + 1], t + dt)
-        except Exception as exc:  # noqa: BLE001
-            _attach_time(exc, t)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = x
-    return Trajectory(times=nodes, states=states, dt=dt)
+    # Divergence shows up as inf/NaN states and is reported below; the
+    # intermediate overflow warnings carry no extra information.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            try:
+                k1 = rhs(x, *u_nodes[i])
+                k2 = rhs(x + 0.5 * dt * k1, *u_mids[i])
+                k3 = rhs(x + 0.5 * dt * k2, *u_mids[i])
+                k4 = rhs(x + dt * k3, *u_nodes[i + 1])
+            except Exception as exc:  # noqa: BLE001 - context is the point
+                _attach_time(exc, i * dt)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[i + 1] = x
+    times = cfg.times
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        t_bad = float(times[int(np.argmin(finite))])
+        raise DivergenceError(f"state became non-finite at t={t_bad:.6g}", time=t_bad)
+    return Trajectory(times=times, states=states, dt=dt)

@@ -71,25 +71,25 @@ class EpidemicState:
         return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
 
-def rhs(kind: ModelKind, state: EpidemicState, params: ModelParams) -> np.ndarray:
+def rhs(kind: ModelKind, x: np.ndarray, params: ModelParams) -> np.ndarray:
     """Time derivative (dS, dI, dQ, dR) in individuals/day.
 
-    The four components sum to zero (total population is conserved).
+    x holds the compartment sizes (S, I, Q, R) as a length-4 array. The
+    four components sum to zero (total population is conserved).
     Raises DomainError for the full model when Q >= N, where the
     susceptible pool N - Q is empty or negative.
     """
+    S, I, Q, _ = x.tolist()
     if kind is ModelKind.FULL:
-        pool = params.N - state.Q
+        pool = params.N - Q
         if pool <= 0:
-            raise DomainError(
-                f"full model needs Q < N, got Q={state.Q!r} with N={params.N!r}"
-            )
+            raise DomainError(f"full model needs Q < N, got Q={Q!r} with N={params.N!r}")
     else:
         pool = params.N
-    infection = params.beta * state.S * state.I / pool
-    placement = params.alpha * state.I
-    recovery_i = params.rho * state.I
-    recovery_q = params.rho * state.Q
+    infection = params.beta * S * I / pool
+    placement = params.alpha * I
+    recovery_i = params.rho * I
+    recovery_q = params.rho * Q
     return np.array(
         [
             -infection,
@@ -104,7 +104,7 @@ def vector_field(kind: ModelKind, params: ModelParams):
     """rhs as a plain callable on length-4 arrays, for the integrator."""
 
     def field(x):
-        return rhs(kind, EpidemicState.from_array(x), params)
+        return rhs(kind, x, params)
 
     return field
 

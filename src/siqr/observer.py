@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, MeasurementError
-from .integrator import IntegratorConfig, Trajectory, integrate_driven
+from .errors import MeasurementError
+from .integrator import IntegratorConfig, Trajectory, integrate
 from .models import ModelKind
 from .observation import OutputSeries
 
@@ -53,18 +53,14 @@ ALPHA_FLOOR = 1e-6  # below this the infected-count estimate is meaningless
 
 
 def sigma(values, k: int) -> float:
-    """Elementary symmetric polynomial of order k of the given values."""
-    vals = [float(v) for v in values]
-    n = len(vals)
+    """Elementary symmetric polynomial of order k of the given values.
+
+    It is the coefficient of s^(n-k) in prod(s + v) over the n values.
+    """
+    n = len(values)
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
-    partial = np.zeros(k + 1)
-    partial[0] = 1.0
-    for v in vals:
-        top = min(k, len(partial) - 1)
-        for j in range(top, 0, -1):
-            partial[j] += v * partial[j - 1]
-    return float(partial[k])
+    return float(_poly_from_poles(values)[k])
 
 
 @dataclass(frozen=True)
@@ -275,31 +271,21 @@ def run_observer(
     `kind` selects the flow block's curvature model (see
     `observer_rhs`). Measurements are guarded against non-positive
     samples first; the infected-count estimate uses the guarded y1.
-    Raises DivergenceError (with the first bad time) if the state stops
-    being finite.
+    Raises DivergenceError (from `integrate`, with the first bad time)
+    if the state stops being finite.
     """
     guarded, subs1, subs2 = guard_measurements(measurements)
     full = kind is ModelKind.FULL
 
-    def rhs(x, u, t):
-        return _field(x, u[0], u[1], K.K, N, full)
+    def rhs(x, y1, y2):
+        return _field(x, y1, y2, K.K, N, full)
 
-    # Divergence shows up as inf/NaN states and is reported below;
-    # the intermediate overflow warnings carry no extra information.
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = integrate_driven(
-            rhs,
-            init.as_array(),
-            guarded.times,
-            np.column_stack([guarded.y1, guarded.y2]),
-            cfg,
-        )
-    finite = np.isfinite(traj.states).all(axis=1)
-    if not finite.all():
-        t_bad = float(traj.times[int(np.argmin(finite))])
-        raise DivergenceError(
-            f"observer state became non-finite at t={t_bad:.6g}", time=t_bad
-        )
+    traj = integrate(
+        rhs,
+        init.as_array(),
+        cfg,
+        inputs=(guarded.times, np.column_stack([guarded.y1, guarded.y2])),
+    )
 
     delta_hat = traj.states[:, 2]
     rho_hat = traj.states[:, 3]

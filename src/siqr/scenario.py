@@ -47,7 +47,8 @@ class Scenario:
     NoiseSpec and the GainSet each check their own ranges, and their
     ValueError becomes a ConfigError naming the scenario key. Checked
     here are only the rules no part owns: the initial counts and
-    observer guesses, and a smoothing window that fits the run.
+    observer guesses, and an odd smoothing window. Whether the window
+    fits the series is checked where smoothing happens, by `estimate`.
     """
 
     kind: ModelKind = ModelKind.FULL
@@ -91,11 +92,8 @@ class Scenario:
                 raise ConfigError(f"{key} must be finite and non-negative, got {value!r}")
         if not self.initial_state().S > 0:
             raise ConfigError("initial compartments exceed the population size params.N")
-        samples = self.integrator_config().n_steps + 1
-        if not (1 <= self.smooth_window <= samples and self.smooth_window % 2 == 1):
-            raise ConfigError(
-                f"smooth.window must be odd and in [1, {samples}], got {self.smooth_window!r}"
-            )
+        if not (self.smooth_window >= 1 and self.smooth_window % 2 == 1):
+            raise ConfigError(f"smooth.window must be odd and >= 1, got {self.smooth_window!r}")
         for key, value in (
             ("observer.delta0", self.delta0),
             ("observer.rho0", self.rho0),

@@ -108,7 +108,6 @@ def test_horizon_shorter_than_step_rejected():
         ("sim.dt = nan", "sim.dt"),
         ("noise.seed = -1", "noise.seed"),
         ("noise.relative_sigma = nan", "noise.relative_sigma"),
-        ("smooth.window = 2001", "smooth.window"),
         ("init.Q0 = nan", "init.Q0"),
         ("init.R0 = -inf", "init.R0"),
         ("poles.lambda = 1, nan, 2, 3", "poles.lambda"),
@@ -122,6 +121,15 @@ def test_horizon_shorter_than_step_rejected():
 def test_out_of_range_value_names_the_key(text, key):
     with pytest.raises(ConfigError, match=key):
         parse_scenario(text)
+
+
+def test_window_wider_than_the_series_fails_estimate_only(tmp_path, capsys):
+    # Only estimate smooths, so only estimate checks the window's fit.
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"smooth.window = 2001\nout.dir = {tmp_path / 'out'}\n")
+    assert main(["estimate", "--config", str(config), "--no-noise"]) == 2
+    assert "smooth.window" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(config)]) == 0
 
 
 def test_replace_takes_the_parsers_path():
@@ -261,14 +269,27 @@ def test_main_unusable_config_text_exits_two(tmp_path, capsys, content):
     assert "config error" in capsys.readouterr().err
 
 
-def test_main_divergence_exits_three(tmp_path, capsys):
+# The simplified model at beta = 1e300 overflows without leaving its
+# domain: the state is non-finite from the first step on.
+_OVERFLOW = "model.kind = simplified\nparams.beta = 1e300\nsim.dt = 0.5\nsmooth.window = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, args",
+    [
+        ("poles.lambda = 400, 410, 420, 430\nnoise.relative_sigma = 0\n", ["estimate", "--no-noise"]),
+        (_OVERFLOW, ["simulate"]),
+        (_OVERFLOW, ["observe"]),
+        (_OVERFLOW, ["estimate", "--no-noise"]),
+        (_OVERFLOW, ["identify", "--t", "1"]),
+    ],
+    ids=["observer-poles", "overflow-simulate", "overflow-observe", "overflow-estimate",
+         "overflow-identify"],
+)
+def test_main_divergence_exits_three(tmp_path, capsys, text, args):
     config = tmp_path / "scenario.cfg"
-    config.write_text(
-        "poles.lambda = 400, 410, 420, 430\n"
-        f"out.dir = {tmp_path / 'out'}\n"
-        "noise.relative_sigma = 0\n"
-    )
-    assert main(["estimate", "--config", str(config), "--no-noise"]) == 3
+    config.write_text(text + f"out.dir = {tmp_path / 'out'}\n")
+    assert main([args[0], "--config", str(config), *args[1:]]) == 3
     assert "divergence" in capsys.readouterr().err
 
 
@@ -306,8 +327,8 @@ _ANY_FLOAT = st.one_of(_SPECIAL, st.floats(allow_nan=True).map(repr))
 _ANY_INT = st.one_of(_SPECIAL, st.integers().map(str))
 
 # Values a run can use. sim.dt >= 0.05 and sim.horizon <= 2 keep each run
-# within 40 steps; smooth.window is always set, since the default (101)
-# needs at least 100 steps.
+# within 40 steps; smooth.window is always set, since estimate's default
+# (101) needs at least 100 steps.
 _RUNNABLE = {
     "sim.dt": _floats(0.05, 0.5),
     "sim.horizon": _floats(0.05, 2.0),
@@ -363,6 +384,10 @@ _SHORT_RUN = {"sim.dt": "0.5", "sim.horizon": "2", "smooth.window": "1"}
 )
 @example(  # the recovery quadratic vanishes
     runnable=_SHORT_RUN, extreme={"params.N": "1e300"}, command="identify", t="1", noisy=True
+)
+@example(  # the state overflows without leaving the model's domain
+    runnable={**_SHORT_RUN, "model.kind": "simplified", "params.beta": "1e300"},
+    extreme={}, command="estimate", t="1", noisy=False,
 )
 @given(
     runnable=st.fixed_dictionaries(_RUNNABLE, optional=_OPTIONAL),

@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from siqr import (
+    DivergenceError,
     DomainError,
     IntegratorConfig,
     ModelKind,
     ModelParams,
     integrate,
-    integrate_driven,
 )
 from siqr.models import vector_field
 
@@ -47,7 +49,7 @@ def test_driven_constant_input_is_exact():
     cfg = IntegratorConfig(dt=0.05, horizon=1.0)
     times = cfg.times
     inputs = np.full((times.size, 1), 2.5)
-    traj = integrate_driven(lambda x, u, t: u, np.array([1.0]), times, inputs, cfg)
+    traj = integrate(lambda x, u: np.array([u]), np.array([1.0]), cfg, inputs=(times, inputs))
     assert traj.states[-1, 0] == pytest.approx(1.0 + 2.5 * 1.0, rel=1e-12)
 
 
@@ -55,7 +57,7 @@ def test_driven_ramp_input_integrates_exactly():
     cfg = IntegratorConfig(dt=0.01, horizon=1.0)
     times = cfg.times
     inputs = times.reshape(-1, 1)
-    traj = integrate_driven(lambda x, u, t: u, np.array([0.0]), times, inputs, cfg)
+    traj = integrate(lambda x, u: np.array([u]), np.array([0.0]), cfg, inputs=(times, inputs))
     assert np.max(np.abs(traj.states[:, 0] - 0.5 * times**2)) < 1e-10
 
 
@@ -64,7 +66,22 @@ def test_driven_rejects_short_input_series():
     times = np.arange(11) * 0.1  # covers only [0, 1]
     inputs = np.zeros((11, 1))
     with pytest.raises(ValueError, match="input series"):
-        integrate_driven(lambda x, u, t: u, np.array([0.0]), times, inputs, cfg)
+        integrate(lambda x, u: np.array([u]), np.array([0.0]), cfg, inputs=(times, inputs))
+
+
+def test_overflow_raises_divergence_at_first_non_finite_step():
+    # x' = 1 while the stage state is below 3, then a value that
+    # overflows: the step from t = 2.5 evaluates its last stage at x = 3,
+    # so t = 3 is the first step whose state is not finite.
+    def field(x):
+        return np.where(x < 3.0, 0.1, 1e308) * 10.0
+
+    cfg = IntegratorConfig(dt=0.5, horizon=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the loop keeps overflow quiet
+        with pytest.raises(DivergenceError, match=r"t=3\b") as excinfo:
+            integrate(field, np.array([0.0]), cfg)
+    assert excinfo.value.time == 3.0
 
 
 def test_rk4_observed_order_at_least_3_5():
