@@ -3,11 +3,14 @@
 Subcommands: simulate (truth.csv), observe (measurements.csv), estimate
 (estimates.csv plus a summary), identify (closed-form recovery report at
 one instant), check (assumptions, pole placement, initial-sign report).
+Each command gathers its report in one dict, and one writer, `_report`,
+turns it into `key = value` lines.
 Exit status: 0 success, 2 configuration error, 3 numerical divergence.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -25,7 +28,7 @@ from .errors import (
     SingularPointError,
 )
 from .identify import check_initial_inequalities, recover_full, recover_simplified
-from .integrator import IntegratorConfig, integrate
+from .integrator import integrate
 from .models import EpidemicState, ModelKind, check_assumptions, vector_field
 from .observation import add_noise, moving_average, observe, output_jets
 from .observer import guard_measurements, run_observer, verify_pole_placement
@@ -55,19 +58,33 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(text)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
+def _report(values: dict) -> str:
+    """`key = value` lines: floats as repr (NaN as nan), booleans as true/false."""
+    lines = []
+    for key, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = repr(float(value))
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+def _value_errors(prefix: str, values: dict, truth: dict) -> dict:
+    """`prefix.name` and `prefix_rel_error.name` for each name of `truth`."""
+    report = {}
+    for name, true_value in truth.items():
+        value = float(values[name])
+        report[f"{prefix}.{name}"] = value
+        report[f"{prefix}_rel_error.{name}"] = abs(value - true_value) / abs(true_value)
+    return report
 
 
 def _write_csv(path: Path, header, columns) -> None:
+    """One row per sample; floats as repr, NaN as an empty field."""
     rows = [",".join(header)]
-    for values in zip(*columns):
-        rows.append(",".join(_fmt(v) for v in values))
+    for values in zip(*(np.asarray(c).tolist() for c in columns)):
+        rows.append(",".join("" if math.isnan(v) else repr(v) for v in values))
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -156,28 +173,16 @@ def cmd_estimate(scenario: Scenario, noisy: bool = True):
     _write_csv(
         out / "estimates.csv",
         ["t", "rho_hat", "beta_hat", "alpha_hat", "I_hat", "I_hat_smoothed", "clamp_active"],
-        [
-            est.times,
-            est.rho_hat,
-            est.beta_hat,
-            est.alpha_hat,
-            est.I_hat,
-            i_hat_smoothed,
-            est.clamp_active.astype(int),
-        ],
+        [est.times, est.rho_hat, est.beta_hat, est.alpha_hat, est.I_hat, i_hat_smoothed,
+         est.clamp_active.astype(int)],
     )
 
     truth = {"rho_hat": scenario.rho, "beta_hat": scenario.beta, "alpha_hat": scenario.alpha}
-    lines = []
-    for name, true_value in truth.items():
-        final = float(getattr(est, name)[-1])
-        rel = abs(final - true_value) / true_value
-        lines.append(f"final.{name} = {final!r}")
-        lines.append(f"final_rel_error.{name} = {rel!r}")
-    lines.append(f"guard_substitutions.y1 = {run.substitutions_y1}")
-    lines.append(f"guard_substitutions.y2 = {run.substitutions_y2}")
-    lines.append(f"decay_bound = {scenario.gain_set().decay_bound!r}")
-    summary = "\n".join(lines) + "\n"
+    report = _value_errors("final", {name: getattr(est, name)[-1] for name in truth}, truth)
+    report["guard_substitutions.y1"] = run.substitutions_y1
+    report["guard_substitutions.y2"] = run.substitutions_y2
+    report["decay_bound"] = scenario.gain_set().decay_bound
+    summary = _report(report)
     (out / "summary.txt").write_text(summary)
     print(summary, end="")
     return run, traj, i_hat_smoothed
@@ -187,9 +192,7 @@ def cmd_identify(scenario: Scenario, t: float):
     """Closed-form parameter recovery from the noise-free jet at time t."""
     if not scenario.dt <= t <= scenario.horizon:
         raise ConfigError(f"--t must lie in [sim.dt, sim.horizon], got {t!r}")
-    cfg = IntegratorConfig(dt=scenario.dt, horizon=t)
-    field = vector_field(scenario.kind, scenario.params())
-    traj = integrate(field, scenario.initial_state().as_array(), cfg)
+    traj = simulate_truth(dataclasses.replace(scenario, horizon=t))
     jet = output_jets(
         EpidemicState.from_array(traj.states[-1]), scenario.params(), scenario.kind, t=t
     )
@@ -198,38 +201,22 @@ def cmd_identify(scenario: Scenario, t: float):
         rec = recover(jet, scenario.alpha * scenario.I0, scenario.N)
     except (SingularPointError, RootSelectionError, DegenerateInputError, RegimeError) as exc:
         raise ConfigError(f"no closed-form recovery at --t {t!r}: {exc}") from exc
-    truth = {
-        "rho": scenario.rho,
-        "alpha": scenario.alpha,
-        "beta": scenario.beta,
-        "epsilon": scenario.I0,
-    }
-    for name, true_value in truth.items():
-        value = getattr(rec, name)
-        rel = abs(value - true_value) / abs(true_value)
-        print(f"recovered.{name} = {value!r}")
-        print(f"recovered_rel_error.{name} = {rel!r}")
+    truth = dict(rho=scenario.rho, alpha=scenario.alpha, beta=scenario.beta, epsilon=scenario.I0)
+    print(_report(_value_errors("recovered", dataclasses.asdict(rec), truth)), end="")
     return rec
 
 
 def cmd_check(scenario: Scenario):
     """Assumption, pole-placement, and initial-sign report."""
     report = {}
-    assumptions = check_assumptions(scenario.params())
-    report["assumption.a1"] = assumptions["a1"]
-    report["assumption.a2"] = assumptions["a2"]
-    poles = verify_pole_placement(scenario.lam, scenario.mu, scenario.N)
-    report["poles.m1_ok"] = poles["m1_ok"]
-    report["poles.m2_ok"] = poles["m2_ok"]
-    report["poles.max_coeff_error"] = poles["max_coeff_error"]
-    inequalities = check_initial_inequalities(scenario.params(), scenario.I0)
-    report["inequality.dh1_at_0"] = inequalities["dh1_at_0"]
-    report["inequality.cterm_at_0"] = inequalities["cterm_at_0"]
-    report["inequality.ok"] = inequalities["ok"]
+    for prefix, facts in (
+        ("assumption", check_assumptions(scenario.params())),
+        ("poles", verify_pole_placement(scenario.lam, scenario.mu, scenario.N)),
+        ("inequality", check_initial_inequalities(scenario.params(), scenario.I0)),
+    ):
+        report.update({f"{prefix}.{key}": value for key, value in facts.items()})
     report["decay_bound"] = scenario.gain_set().decay_bound
-    for key, value in report.items():
-        text = repr(value) if isinstance(value, float) else _fmt(value)
-        print(f"{key} = {text}")
+    print(_report(report), end="")
     return report
 
 

@@ -30,8 +30,13 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Numerical state stopped being finite during integration."""
+    """Numerical state stopped being finite during integration.
 
-    def __init__(self, message, time=None):
+    `time` is the first step whose state is not finite and `component`
+    the index of that state's first non-finite entry.
+    """
+
+    def __init__(self, message, time=None, component=None):
         super().__init__(message)
         self.time = time
+        self.component = component

@@ -104,8 +104,8 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     [0, horizon], u is the row interpolated linearly at each RK4 stage
     time. Exceptions raised by rhs are re-raised with the offending time
     attached to the message. Raises DivergenceError, with the time of
-    the first step whose state is not finite, if the state stops being
-    finite.
+    the first step whose state is not finite and the index of its first
+    non-finite component, if the state stops being finite.
     """
     n = cfg.n_steps
     dt = cfg.dt
@@ -130,8 +130,10 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states[i + 1] = x
     times = cfg.times
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        t_bad = float(times[int(np.argmin(finite))])
-        raise DivergenceError(f"state became non-finite at t={t_bad:.6g}", time=t_bad)
+    bad = np.argwhere(~np.isfinite(states))  # row-major: first step, then component
+    if bad.size:
+        step, component = bad[0].tolist()
+        t_bad = float(times[step])
+        msg = f"state component {component} became non-finite at t={t_bad:.6g}"
+        raise DivergenceError(msg, time=t_bad, component=component)
     return Trajectory(times=times, states=states, dt=dt)

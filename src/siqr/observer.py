@@ -91,8 +91,8 @@ def gains(lam, mu) -> GainSet:
             raise ValueError(f"{name} must have {arity} entries, got {len(poles)}")
         if not all(math.isfinite(p) and p > 0 for p in poles):
             raise ValueError(f"{name} entries must be finite and strictly positive, got {poles!r}")
-    s1, s2, s3, s4 = (sigma(lam, k) for k in (1, 2, 3, 4))
-    m1, m2, m3 = (sigma(mu, k) for k in (1, 2, 3))
+    s1, s2, s3, s4 = map(float, _poly_from_poles(lam)[1:])
+    m1, m2, m3 = map(float, _poly_from_poles(mu)[1:])
     K = (s1, s1 + s3, -s4, -(s2 + s4 + 1.0), m1, m2, -m3)
     return GainSet(lam=lam, mu=mu, K=K, decay_bound=min(min(lam), min(mu)))
 
@@ -191,7 +191,7 @@ def observer_rhs(
     beta_hat*(y1 - rho_hat*y2)/N for the full model, whose pressure acts
     on N - Q so that the quarantine outflow Q' = y1 - rho*y2 bends v too.
     """
-    if y1 <= 0 or y2 <= 0:
+    if not (y1 > 0 and y2 > 0):
         raise MeasurementError(
             f"observer needs positive measurements, got y1={y1!r}, y2={y2!r}"
         )
@@ -345,7 +345,7 @@ def _poly_det(entries):
     acc = np.zeros(1)
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        term = np.polymul(entries[0][j], _poly_det(minor))
+        term = np.convolve(entries[0][j], _poly_det(minor))
         acc = np.polyadd(acc, term if j % 2 == 0 else -term)
     return acc
 
@@ -379,7 +379,7 @@ def char_poly(M) -> np.ndarray:
 def _poly_from_poles(poles) -> np.ndarray:
     prod = np.array([1.0])
     for p in poles:
-        prod = np.polymul(prod, np.array([1.0, float(p)]))
+        prod = np.convolve(prod, np.array([1.0, float(p)]))
     return prod
 
 

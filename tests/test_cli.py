@@ -17,6 +17,7 @@ from siqr.cli import (
     cmd_observe,
     cmd_simulate,
     main,
+    simulate_truth,
 )
 from siqr.scenario import DEFAULT_LAMBDA, REFERENCE_MU
 
@@ -232,6 +233,121 @@ def test_cmd_check_report(tmp_path, capsys):
     assert report["inequality.ok"] is True
     out = capsys.readouterr().out
     assert "poles.m1_ok = true" in out
+
+
+# --- report and CSV writers ----------------------------------------------------
+
+
+def _csv_columns(path):
+    """Header and the text fields of each column."""
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), list(zip(*(line.split(",") for line in lines[1:])))
+
+
+def _assert_fields_read_back(fields, values):
+    # An empty field stands for NaN; every other field parses back to
+    # its value bit for bit (the sign of zero included).
+    values = np.asarray(values, dtype=float)
+    empty = np.array([field == "" for field in fields])
+    assert np.array_equal(empty, np.isnan(values))
+    parsed = np.array([float(field) for field in fields if field])
+    assert parsed.tobytes() == values[~empty].tobytes()
+
+
+def _report_fields(text):
+    """The `key = value` lines of a report as an ordered dict of text."""
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_truth_csv_fields_read_back_bitwise(tmp_path, kind):
+    sc = scenario_in(tmp_path, f"model.kind = {kind}")
+    header, columns = _csv_columns(cmd_simulate(sc))
+    traj = simulate_truth(sc)
+    assert header == ["t", "S", "I", "Q", "R"]
+    _assert_fields_read_back(columns[0], traj.times)
+    for j in range(4):
+        _assert_fields_read_back(columns[j + 1], traj.states[:, j])
+
+
+def test_estimates_csv_fields_read_back_bitwise(tmp_path, capsys):
+    sc = scenario_in(tmp_path)
+    run, _, smoothed = cmd_estimate(sc, noisy=True)
+    capsys.readouterr()
+    est = run.estimates
+    header, columns = _csv_columns(tmp_path / "out" / "estimates.csv")
+    assert header[-1] == "clamp_active"
+    values = [est.times, est.rho_hat, est.beta_hat, est.alpha_hat, est.I_hat, smoothed]
+    for fields, column in zip(columns, values):
+        _assert_fields_read_back(fields, column)
+    assert np.isnan(est.I_hat).any()  # the run writes NaN fields
+    assert set(columns[-1]) == {"0", "1"}
+    assert [field == "1" for field in columns[-1]] == est.clamp_active.tolist()
+
+
+def test_summary_report_keys_and_values(tmp_path, capsys):
+    sc = scenario_in(tmp_path)
+    run, _, _ = cmd_estimate(sc, noisy=False)
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert capsys.readouterr().out == summary
+    fields = _report_fields(summary)
+    assert list(fields) == [
+        "final.rho_hat",
+        "final_rel_error.rho_hat",
+        "final.beta_hat",
+        "final_rel_error.beta_hat",
+        "final.alpha_hat",
+        "final_rel_error.alpha_hat",
+        "guard_substitutions.y1",
+        "guard_substitutions.y2",
+        "decay_bound",
+    ]
+    for name, true_value in (("rho_hat", sc.rho), ("beta_hat", sc.beta), ("alpha_hat", sc.alpha)):
+        final = float(getattr(run.estimates, name)[-1])
+        assert fields[f"final.{name}"] == repr(final)
+        assert fields[f"final_rel_error.{name}"] == repr(abs(final - true_value) / true_value)
+    assert fields["guard_substitutions.y1"] == str(run.substitutions_y1)
+    assert fields["guard_substitutions.y2"] == str(run.substitutions_y2)
+    assert fields["decay_bound"] == repr(sc.gain_set().decay_bound)
+
+
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_identify_report_keys_and_values(tmp_path, capsys, kind):
+    sc = scenario_in(tmp_path, f"model.kind = {kind}")
+    rec = cmd_identify(sc, t=3.0)
+    fields = _report_fields(capsys.readouterr().out)
+    names = ["rho", "alpha", "beta", "epsilon"]
+    assert list(fields) == [
+        key for name in names for key in (f"recovered.{name}", f"recovered_rel_error.{name}")
+    ]
+    for name, true_value in zip(names, (sc.rho, sc.alpha, sc.beta, sc.I0)):
+        value = getattr(rec, name)
+        assert fields[f"recovered.{name}"] == repr(value)
+        assert fields[f"recovered_rel_error.{name}"] == repr(abs(value - true_value) / true_value)
+
+
+@pytest.mark.parametrize("text", ["", "params.beta = 0.05\ninit.I0 = 50000"])
+def test_check_report_keys_and_values(tmp_path, capsys, text):
+    # The second scenario fails assumption a1 and the initial signs.
+    report = cmd_check(scenario_in(tmp_path, text))
+    fields = _report_fields(capsys.readouterr().out)
+    assert list(fields) == list(report) == [
+        "assumption.a1",
+        "assumption.a2",
+        "poles.m1_ok",
+        "poles.m2_ok",
+        "poles.max_coeff_error",
+        "inequality.dh1_at_0",
+        "inequality.cterm_at_0",
+        "inequality.ok",
+        "decay_bound",
+    ]
+    for key, value in report.items():
+        if isinstance(value, bool):
+            assert fields[key] == ("true" if value else "false")
+        else:
+            assert fields[key] == repr(value)
+    assert fields["inequality.ok"] == ("true" if text == "" else "false")
 
 
 # --- argv-level behaviour -----------------------------------------------------

@@ -79,9 +79,12 @@ def test_overflow_raises_divergence_at_first_non_finite_step():
     cfg = IntegratorConfig(dt=0.5, horizon=5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the loop keeps overflow quiet
-        with pytest.raises(DivergenceError, match=r"t=3\b") as excinfo:
+        with pytest.raises(
+            DivergenceError, match=r"state component 0 became non-finite at t=3\b"
+        ) as excinfo:
             integrate(field, np.array([0.0]), cfg)
     assert excinfo.value.time == 3.0
+    assert excinfo.value.component == 0
 
 
 def test_rk4_observed_order_at_least_3_5():

@@ -125,6 +125,9 @@ def test_observer_rhs_rejects_nonpositive_measurements():
         observer_rhs(x, 0.0, 1.0, REF_GAINS, 1e5)
     with pytest.raises(MeasurementError):
         observer_rhs(x, 1.0, -2.0, REF_GAINS, 1e5)
+    for y1, y2 in ((float("nan"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(MeasurementError):
+            observer_rhs(x, y1, y2, REF_GAINS, 1e5)
 
 
 def test_observer_error_dynamics_match_block_matrices():
@@ -408,6 +411,7 @@ def test_run_observer_divergence_reports_time():
     with pytest.raises(DivergenceError) as excinfo:
         run_observer(series, wild, 1e5, init, IntegratorConfig(dt=0.01, horizon=6.0))
     assert excinfo.value.time is not None
+    assert excinfo.value.component in range(7)
 
 
 def test_reference_run_characterisation_noise_free():
