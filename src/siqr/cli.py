@@ -2,7 +2,8 @@
 
 Subcommands: simulate (truth.csv), observe (measurements.csv), estimate
 (estimates.csv plus a summary), identify (closed-form recovery report at
-one instant), check (assumptions, pole placement, initial-sign report).
+one instant), check (assumptions, pole placement, initial-sign and
+stiffness report).
 Each command gathers its report in one dict, and one writer, `_report`,
 turns it into `key = value` lines.
 Exit status: 0 success, 2 configuration error, 3 numerical divergence.
@@ -207,7 +208,14 @@ def cmd_identify(scenario: Scenario, t: float):
 
 
 def cmd_check(scenario: Scenario):
-    """Assumption, pole-placement, and initial-sign report."""
+    """Assumption, pole-placement, initial-sign and stiffness report.
+
+    `stiffness` is sim.dt * max(mu) * max(y1) over a noise-free run of
+    the scenario: in days the flow block's poles are mu * y1, so near 1
+    the observer's RK4 step is too long for its fastest pole. A run that
+    diverges raises as `simulate` does.
+    """
+    _, clean, _ = make_measurements(scenario, noisy=False)
     report = {}
     for prefix, facts in (
         ("assumption", check_assumptions(scenario.params())),
@@ -216,6 +224,7 @@ def cmd_check(scenario: Scenario):
     ):
         report.update({f"{prefix}.{key}": value for key, value in facts.items()})
     report["decay_bound"] = scenario.gain_set().decay_bound
+    report["stiffness"] = scenario.dt * max(scenario.mu) * float(np.max(clean.y1))
     print(_report(report), end="")
     return report
 

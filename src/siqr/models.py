@@ -71,15 +71,16 @@ class EpidemicState:
         return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
 
-def rhs(kind: ModelKind, x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Time derivative (dS, dI, dQ, dR) in individuals/day.
+def rhs(kind: ModelKind, x, params: ModelParams) -> tuple:
+    """Time derivative (dS, dI, dQ, dR) in individuals/day, as a tuple.
 
-    x holds the compartment sizes (S, I, Q, R) as a length-4 array. The
-    four components sum to zero (total population is conserved).
-    Raises DomainError for the full model when Q >= N, where the
-    susceptible pool N - Q is empty or negative.
+    x holds the compartment sizes (S, I, Q, R) as any length-4 sequence
+    of numbers (a list of Python floats from the integrator, or an
+    array). The four components sum to zero (total population is
+    conserved). Raises DomainError for the full model when Q >= N, where
+    the susceptible pool N - Q is empty or negative.
     """
-    S, I, Q, _ = x.tolist()
+    S, I, Q, _ = x
     if kind is ModelKind.FULL:
         pool = params.N - Q
         if pool <= 0:
@@ -90,18 +91,16 @@ def rhs(kind: ModelKind, x: np.ndarray, params: ModelParams) -> np.ndarray:
     placement = params.alpha * I
     recovery_i = params.rho * I
     recovery_q = params.rho * Q
-    return np.array(
-        [
-            -infection,
-            infection - placement - recovery_i,
-            placement - recovery_q,
-            recovery_i + recovery_q,
-        ]
+    return (
+        -infection,
+        infection - placement - recovery_i,
+        placement - recovery_q,
+        recovery_i + recovery_q,
     )
 
 
 def vector_field(kind: ModelKind, params: ModelParams):
-    """rhs as a plain callable on length-4 arrays, for the integrator."""
+    """rhs as a plain callable on length-4 sequences, for the integrator."""
 
     def field(x):
         return rhs(kind, x, params)

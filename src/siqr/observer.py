@@ -147,8 +147,11 @@ def beta_hat(k_hat, delta_hat):
 
 
 def _field(x, y1, y2, K, N, full):
-    innov_z1 = x[0] - np.log(y1)
-    innov_z2 = x[1] - np.log(y2)
+    """The observer field on Python floats: x a length-7 sequence, a tuple out."""
+    # np.log, not math.log: they differ in the last bit on a few inputs
+    # in 10**4, and scalar np.log agrees with np.log on arrays.
+    innov_z1 = x[0] - float(np.log(y1))
+    innov_z2 = x[1] - float(np.log(y2))
     innov_y1 = x[4] - y1
     curvature = -x[6] * y1 / N
     if full:
@@ -156,23 +159,21 @@ def _field(x, y1, y2, K, N, full):
         # bends by beta*Q'/N with Q' = y1 - rho*y2. A negative beta_hat
         # (transient k_hat < 0) would feed this term back into k_hat with
         # the wrong sign, so it is floored at zero. This is the estimator
-        # map `beta_hat` in scalar arithmetic: numpy's scalar ufuncs here
-        # would add about a third to the field's cost.
-        k_hat, delta_hat = float(x[6]), float(x[2])
+        # map `beta_hat` in scalar arithmetic: calling `beta_hat` here
+        # (numpy's scalar ufuncs) would add about 80% to the field's cost.
+        k_hat, delta_hat = x[6], x[2]
         disc = k_hat * k_hat - 4.0 * delta_hat * k_hat
         beta = 0.5 * (k_hat - math.sqrt(disc)) if disc > 0 else 0.5 * k_hat
         if beta > 0:
             curvature += beta * (y1 - x[3] * y2) / N
-    return np.array(
-        [
-            x[2] - x[3] - K[0] * innov_z1,
-            y1 / y2 - x[3] - K[1] * innov_z1,
-            -K[2] * innov_z1,
-            -K[3] * innov_z1 - innov_z2,
-            x[5] * y1 - K[4] * y1 * innov_y1,
-            curvature - K[5] * y1 * innov_y1,
-            -K[6] * N * y1 * innov_y1,
-        ]
+    return (
+        x[2] - x[3] - K[0] * innov_z1,
+        y1 / y2 - x[3] - K[1] * innov_z1,
+        -K[2] * innov_z1,
+        -K[3] * innov_z1 - innov_z2,
+        x[5] * y1 - K[4] * y1 * innov_y1,
+        curvature - K[5] * y1 * innov_y1,
+        -K[6] * N * y1 * innov_y1,
     )
 
 
@@ -195,7 +196,7 @@ def observer_rhs(
         raise MeasurementError(
             f"observer needs positive measurements, got y1={y1!r}, y2={y2!r}"
         )
-    return _field(x.as_array(), y1, y2, K.K, N, kind is ModelKind.FULL)
+    return np.array(_field(x.as_array().tolist(), y1, y2, K.K, N, kind is ModelKind.FULL))
 
 
 def guard_measurements(series: OutputSeries):
@@ -216,13 +217,10 @@ def guard_measurements(series: OutputSeries):
             positive = y[~bad]
             if positive.size == 0:
                 raise MeasurementError("measurement series has no positive sample")
-            fallback = float(positive.min())
-            last = fallback
-            for i in range(y.size):
-                if y[i] > 0:
-                    last = y[i]
-                else:
-                    y[i] = last
+            # Index of the last positive sample at or before each one, -1
+            # before the first.
+            last = np.maximum.accumulate(np.where(bad, -1, np.arange(y.size)))
+            y = np.where(last >= 0, y[last], positive.min())
         guarded.append(y)
         counts.append(n_bad)
     return (

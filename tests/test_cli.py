@@ -326,9 +326,17 @@ def test_identify_report_keys_and_values(tmp_path, capsys, kind):
         assert fields[f"recovered_rel_error.{name}"] == repr(abs(value - true_value) / true_value)
 
 
-@pytest.mark.parametrize("text", ["", "params.beta = 0.05\ninit.I0 = 50000"])
-def test_check_report_keys_and_values(tmp_path, capsys, text):
-    # The second scenario fails assumption a1 and the initial signs.
+@pytest.mark.parametrize(
+    "text, ok, stiffness",
+    [
+        ("", True, 0.10),
+        # At twice the horizon the noise-free alpha_hat ends 18x off.
+        ("sim.horizon = 20", True, 0.99),
+        # Fails assumption a1 and the initial signs.
+        ("params.beta = 0.05\ninit.I0 = 50000", False, 51.15),
+    ],
+)
+def test_check_report_keys_and_values(tmp_path, capsys, text, ok, stiffness):
     report = cmd_check(scenario_in(tmp_path, text))
     fields = _report_fields(capsys.readouterr().out)
     assert list(fields) == list(report) == [
@@ -341,13 +349,15 @@ def test_check_report_keys_and_values(tmp_path, capsys, text):
         "inequality.cterm_at_0",
         "inequality.ok",
         "decay_bound",
+        "stiffness",
     ]
     for key, value in report.items():
         if isinstance(value, bool):
             assert fields[key] == ("true" if value else "false")
         else:
             assert fields[key] == repr(value)
-    assert fields["inequality.ok"] == ("true" if text == "" else "false")
+    assert fields["inequality.ok"] == ("true" if ok else "false")
+    assert round(report["stiffness"], 2) == stiffness
 
 
 # --- argv-level behaviour -----------------------------------------------------
@@ -398,9 +408,10 @@ _OVERFLOW = "model.kind = simplified\nparams.beta = 1e300\nsim.dt = 0.5\nsmooth.
         (_OVERFLOW, ["observe"]),
         (_OVERFLOW, ["estimate", "--no-noise"]),
         (_OVERFLOW, ["identify", "--t", "1"]),
+        (_OVERFLOW, ["check"]),
     ],
     ids=["observer-poles", "overflow-simulate", "overflow-observe", "overflow-estimate",
-         "overflow-identify"],
+         "overflow-identify", "overflow-check"],
 )
 def test_main_divergence_exits_three(tmp_path, capsys, text, args):
     config = tmp_path / "scenario.cfg"

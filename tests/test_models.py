@@ -37,7 +37,7 @@ def test_rhs_full_reference_values():
 
 def test_rhs_conserves_population_at_reference():
     for kind in ModelKind:
-        assert rhs(kind, REF_STATE, REF).sum() == 0.0
+        assert np.asarray(rhs(kind, REF_STATE, REF)).sum() == 0.0
 
 
 def test_rhs_no_infected_leaves_only_quarantine_flow():

@@ -313,6 +313,30 @@ def test_guard_uses_smallest_positive_for_bad_start():
     assert subs1 == 1
 
 
+def _forward_fill_per_sample(y):
+    """The guard as a per-sample loop: the reference for the array form."""
+    y = y.copy()
+    last = float(y[y > 0].min())
+    for i in range(y.size):
+        if y[i] > 0:
+            last = y[i]
+        else:
+            y[i] = last
+    return y
+
+
+def test_guard_fill_matches_the_per_sample_loop():
+    # A leading non-positive run, interior runs and NaN samples.
+    y1 = np.array([0.0, -1.0, np.nan, 3.0, 0.0, 0.0, 2.5, np.nan, -4.0, 7.0, 0.0])
+    y2 = np.array([np.nan, 1e-300, 0.0, 4.0, -0.0, 6.0, 6.0, 0.0, 9.0, np.nan, 1.0])
+    series = OutputSeries(times=np.arange(11.0), y1=y1, y2=y2)
+    guarded, subs1, subs2 = guard_measurements(series)
+    assert np.array_equal(guarded.y1, [2.5, 2.5, 2.5, 3.0, 3.0, 3.0, 2.5, 2.5, 2.5, 7.0, 7.0])
+    assert np.array_equal(guarded.y1, _forward_fill_per_sample(y1))
+    assert np.array_equal(guarded.y2, _forward_fill_per_sample(y2))
+    assert (subs1, subs2) == (8, 5)
+
+
 def test_guard_rejects_all_nonpositive():
     series = OutputSeries(times=np.arange(3.0), y1=np.zeros(3), y2=np.ones(3))
     with pytest.raises(MeasurementError):
