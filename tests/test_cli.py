@@ -329,11 +329,16 @@ def test_identify_report_keys_and_values(tmp_path, capsys, kind):
 @pytest.mark.parametrize(
     "text, ok, stiffness",
     [
-        ("", True, 0.10),
+        pytest.param("", True, 0.10, id=""),
         # At twice the horizon the noise-free alpha_hat ends 18x off.
-        ("sim.horizon = 20", True, 0.99),
+        pytest.param("sim.horizon = 20", True, 0.99, id="sim.horizon = 20"),
         # Fails assumption a1 and the initial signs.
-        ("params.beta = 0.05\ninit.I0 = 50000", False, 51.15),
+        pytest.param(
+            "params.beta = 0.05\ninit.I0 = 50000",
+            False,
+            51.15,
+            id="params.beta = 0.05\ninit.I0 = 50000",
+        ),
     ],
 )
 def test_check_report_keys_and_values(tmp_path, capsys, text, ok, stiffness):
