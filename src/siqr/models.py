@@ -75,7 +75,7 @@ def rhs(kind: ModelKind, x, params: ModelParams) -> tuple:
     """Time derivative (dS, dI, dQ, dR) in individuals/day, as a tuple.
 
     x holds the compartment sizes (S, I, Q, R) as any length-4 sequence
-    of numbers (a list of Python floats from the integrator, or an
+    of numbers (a tuple of Python floats from the integrator, or an
     array). The four components sum to zero (total population is
     conserved). Raises DomainError for the full model when Q >= N, where
     the susceptible pool N - Q is empty or negative.

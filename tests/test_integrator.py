@@ -11,6 +11,7 @@ from siqr import (
     IntegratorConfig,
     ModelKind,
     ModelParams,
+    OutputSeries,
     Scenario,
     guard_measurements,
     integrate,
@@ -18,7 +19,7 @@ from siqr import (
 )
 from siqr.cli import make_measurements
 from siqr.integrator import _BLOCK_ROWS
-from siqr.models import rhs, vector_field
+from siqr.models import vector_field
 from siqr.observer import _field
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
@@ -55,26 +56,41 @@ def test_domain_error_carries_time():
 
 def test_driven_constant_input_is_exact():
     cfg = IntegratorConfig(dt=0.05, horizon=1.0)
-    times = cfg.times
-    inputs = np.full((times.size, 1), 2.5)
-    traj = integrate(lambda x, u: np.array([u]), np.array([1.0]), cfg, inputs=(times, inputs))
+
+    def inputs(t):
+        return np.full((t.size, 1), 2.5)
+
+    traj = integrate(lambda x, u: np.array([u]), np.array([1.0]), cfg, inputs=inputs)
     assert traj.states[-1, 0] == pytest.approx(1.0 + 2.5 * 1.0, rel=1e-12)
 
 
 def test_driven_ramp_input_integrates_exactly():
     cfg = IntegratorConfig(dt=0.01, horizon=1.0)
     times = cfg.times
-    inputs = times.reshape(-1, 1)
-    traj = integrate(lambda x, u: np.array([u]), np.array([0.0]), cfg, inputs=(times, inputs))
+
+    def inputs(t):
+        return t.reshape(-1, 1)
+
+    traj = integrate(lambda x, u: np.array([u]), np.array([0.0]), cfg, inputs=inputs)
     assert np.max(np.abs(traj.states[:, 0] - 0.5 * times**2)) < 1e-10
 
 
 def test_driven_rejects_short_input_series():
+    sc = Scenario()
     cfg = IntegratorConfig(dt=0.1, horizon=2.0)
     times = np.arange(11) * 0.1  # covers only [0, 1]
-    inputs = np.zeros((11, 1))
-    with pytest.raises(ValueError, match="input series"):
-        integrate(lambda x, u: np.array([u]), np.array([0.0]), cfg, inputs=(times, inputs))
+    record = OutputSeries(times=times, y1=np.full(11, 10.0), y2=np.full(11, 50.0))
+    init = sc.observer_init(10.0, 50.0)
+    with pytest.raises(ValueError, match="input series covers"):
+        run_observer(record, sc.gain_set(), sc.N, init, cfg, sc.kind)
+
+
+@pytest.mark.parametrize("result", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
+def test_rhs_result_of_wrong_length_raises(result):
+    # One value per state component: a long result is not cut to the
+    # state's size, nor a short one broadcast over it.
+    with pytest.raises(ValueError, match=r"\(rhs evaluation at t=0\)"):
+        integrate(lambda x: result, [0.0, 0.0], IntegratorConfig(0.1, 1.0))
 
 
 def test_overflow_raises_divergence_at_first_non_finite_step():
@@ -121,38 +137,61 @@ def _array_rk4(field, x0, cfg, inputs=None):
     return states
 
 
+def _coupled_polynomial(x):
+    d = len(x)
+    return tuple(x[(i + 1) % d] * x[i - 1] - x[i] ** 3 for i in range(d))
+
+
+_REF_X0 = [99985.0, 10.0, 5.0, 0.0]
+
+
 @pytest.mark.parametrize(
-    "kind, dt, horizon",
+    "field, x0, dt, horizon",
     [
-        (ModelKind.FULL, 0.01, 10.0),
-        (ModelKind.SIMPLIFIED, 0.01, 10.0),
-        (ModelKind.FULL, 0.004, 10.0),  # 2,500 steps: the last block is partial
-        (ModelKind.SIMPLIFIED, 0.01, _BLOCK_ROWS * 0.01),  # exactly one block
+        pytest.param(vector_field(ModelKind.FULL, REF), _REF_X0, 0.01, 10.0,
+                     id="ModelKind.FULL-0.01-10.0"),
+        pytest.param(vector_field(ModelKind.SIMPLIFIED, REF), _REF_X0, 0.01, 10.0,
+                     id="ModelKind.SIMPLIFIED-0.01-10.0"),
+        # 2,500 steps: the last block is partial.
+        pytest.param(vector_field(ModelKind.FULL, REF), _REF_X0, 0.004, 10.0,
+                     id="ModelKind.FULL-0.004-10.0"),
+        # Exactly one block.
+        pytest.param(vector_field(ModelKind.SIMPLIFIED, REF), _REF_X0, 0.01, _BLOCK_ROWS * 0.01,
+                     id="ModelKind.SIMPLIFIED-0.01-10.24"),
+        # Each state size has its own generated stepper; 2,500 steps.
+        *(
+            pytest.param(_coupled_polynomial, [0.2 + 0.1 * i for i in range(d)], 0.004, 10.0,
+                         id=f"polynomial-d{d}")
+            for d in (0, 1, 2, 3, 5, 11)
+        ),
     ],
 )
-def test_model_run_equals_array_rk4_bitwise(kind, dt, horizon):
+def test_model_run_equals_array_rk4_bitwise(field, x0, dt, horizon):
     cfg = IntegratorConfig(dt=dt, horizon=horizon)
-    x0 = [99985.0, 10.0, 5.0, 0.0]
-    traj = integrate(vector_field(kind, REF), x0, cfg)
+    traj = integrate(field, x0, cfg)
 
     def array_field(x):
-        return np.array(rhs(kind, x.tolist(), REF))
+        return np.array(field(x.tolist()))
 
     assert np.array_equal(traj.states, _array_rk4(array_field, x0, cfg))
 
 
-def test_observer_run_equals_array_rk4_bitwise():
-    # The full model with 5% measurement noise, over 2,500 steps: the
-    # input rows are interpolated block by block.
-    sc = dataclasses.replace(Scenario(), dt=0.004)
+@pytest.mark.parametrize("kind", [ModelKind.FULL, ModelKind.SIMPLIFIED])
+def test_observer_run_equals_array_rk4_bitwise(kind):
+    # 5% measurement noise, over 2,500 steps: the input rows and their
+    # logs are computed block by block, on arrays, and must give the
+    # bits of the scalar logs that the reference field takes per stage.
+    sc = dataclasses.replace(Scenario(), dt=0.004, kind=kind)
     _, _, measurements = make_measurements(sc, noisy=True)
     guarded, _, _ = guard_measurements(measurements)
     init = sc.observer_init(guarded.y1[0], guarded.y2[0])
     cfg, K = sc.integrator_config(), sc.gain_set()
     run = run_observer(measurements, K, sc.N, init, cfg, sc.kind)
+    full = kind is ModelKind.FULL
 
     def array_field(x, y1, y2):
-        return np.array(_field(x.tolist(), y1, y2, K.K, sc.N, True))
+        z1, z2 = float(np.log(y1)), float(np.log(y2))
+        return np.array(_field(x.tolist(), y1, y2, z1, z2, K.K, sc.N, full))
 
     inputs = (guarded.times, np.column_stack([guarded.y1, guarded.y2]))
     expected = _array_rk4(array_field, init.as_array(), cfg, inputs)
