@@ -30,7 +30,7 @@ from .errors import (
 )
 from .identify import check_initial_inequalities, recover_full, recover_simplified
 from .integrator import integrate
-from .models import EpidemicState, ModelKind, check_assumptions, vector_field
+from .models import ModelKind, check_assumptions, vector_field
 from .observation import add_noise, moving_average, observe, output_jets
 from .observer import guard_measurements, run_observer, verify_pole_placement
 from .scenario import Scenario, parse_scenario
@@ -101,7 +101,7 @@ def _out_dir(scenario: Scenario) -> Path:
 def simulate_truth(scenario: Scenario):
     cfg = scenario.integrator_config()
     field = vector_field(scenario.kind, scenario.params())
-    return integrate(field, scenario.initial_state().as_array(), cfg)
+    return integrate(field, scenario.initial_state(), cfg)
 
 
 def make_measurements(scenario: Scenario, noisy: bool):
@@ -194,9 +194,7 @@ def cmd_identify(scenario: Scenario, t: float):
     if not scenario.dt <= t <= scenario.horizon:
         raise ConfigError(f"--t must lie in [sim.dt, sim.horizon], got {t!r}")
     traj = simulate_truth(dataclasses.replace(scenario, horizon=t))
-    jet = output_jets(
-        EpidemicState.from_array(traj.states[-1]), scenario.params(), scenario.kind, t=t
-    )
+    jet = output_jets(traj.states[-1].tolist(), scenario.params(), scenario.kind, t=t)
     recover = recover_full if scenario.kind is ModelKind.FULL else recover_simplified
     try:
         rec = recover(jet, scenario.alpha * scenario.I0, scenario.N)

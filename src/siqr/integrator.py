@@ -69,11 +69,21 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    dt: float
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times and states must be aligned")
+
+
+def _input_rows(inputs, at, t_block):
+    """inputs(at) as a list of rows, checked to hold one row per time."""
+    rows = np.asarray(inputs(at))
+    if rows.ndim != 2 or rows.shape[0] != at.size:
+        raise ValueError(
+            f"inputs must return one row per time, got shape {rows.shape} "
+            f"for {at.size} times (block from t={t_block:.6g})"
+        )
+    return rows.tolist()
 
 
 def _attach_time(exc, t):
@@ -159,15 +169,15 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     one row of input values per time, and u is the row at each RK4
     stage time. It is called twice per block of up to 1024 steps, at
     the block's step nodes and at its half steps, so an interpolation or
-    a transform of the inputs runs once per block on arrays. rhs
-    receives x as a tuple of d Python floats and the entries of u as
-    Python floats, and returns d numbers (a tuple is cheapest); x
-    supports no array arithmetic. Exceptions raised by rhs, or by
-    unpacking a result that does not have d entries, are re-raised with
-    the offending time attached to the message. Raises DivergenceError,
-    with the time of the first step whose state is not finite and the
-    index of its first non-finite component, if the state stops being
-    finite.
+    a transform of the inputs runs once per block on arrays (ValueError
+    if its result has another shape). rhs receives x as a tuple of d
+    Python floats and the entries of u as Python floats, and returns d
+    numbers (a tuple is cheapest); x supports no array arithmetic.
+    Exceptions raised by rhs, or by unpacking a result that does not
+    have d entries, are re-raised with the offending time attached to
+    the message. Raises DivergenceError, with the time of the first step
+    whose state is not finite and the index of its first non-finite
+    component, if the state stops being finite.
     """
     n = cfg.n_steps
     dt = cfg.dt
@@ -187,8 +197,8 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
                 u_nodes, u_mids = empty, empty[: stop - start]
             else:
                 nodes = np.arange(start, stop + 1) * dt  # equal to cfg.times[start:stop + 1]
-                u_nodes = np.asarray(inputs(nodes)).tolist()
-                u_mids = np.asarray(inputs(nodes[:-1] + 0.5 * dt)).tolist()
+                u_nodes = _input_rows(inputs, nodes, nodes[0])
+                u_mids = _input_rows(inputs, nodes[:-1] + 0.5 * dt, nodes[0])
             block = rk4_block(rhs, x, u_nodes, u_mids, start, dt)
             states[start + 1 : stop + 1] = block
             x = block[-1]
@@ -199,4 +209,4 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
         t_bad = float(times[step])
         msg = f"state component {component} became non-finite at t={t_bad:.6g}"
         raise DivergenceError(msg, time=t_bad, component=component)
-    return Trajectory(times=times, states=states, dt=dt)
+    return Trajectory(times=times, states=states)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,9 +55,8 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
-@dataclass(frozen=True)
-class EpidemicState:
-    """Compartment sizes (individuals) at one instant."""
+class EpidemicState(NamedTuple):
+    """Compartment sizes (individuals) at one instant, a length-4 sequence."""
 
     S: float
     I: float
@@ -64,7 +64,7 @@ class EpidemicState:
     R: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.S, self.I, self.Q, self.R], dtype=float)
+        return np.array(self, dtype=float)
 
     @classmethod
     def from_array(cls, x) -> "EpidemicState":

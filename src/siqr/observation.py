@@ -95,16 +95,17 @@ def _taylor_coefficients(state, params, kind, order):
     non-polynomial operation is the division by N - Q in the full model.
     """
     beta, rho, alpha, N = params.beta, params.rho, params.alpha, params.N
+    s0, i0, q0, _ = state
     S = np.zeros(order + 1)
     I = np.zeros(order + 1)
     Q = np.zeros(order + 1)
-    S[0], I[0], Q[0] = state.S, state.I, state.Q
+    S[0], I[0], Q[0] = s0, i0, q0
     full = kind is ModelKind.FULL
     if full:
         pool0 = N - Q[0]
         if pool0 <= 0:
             raise DomainError(
-                f"full model needs Q < N, got Q={state.Q!r} with N={params.N!r}"
+                f"full model needs Q < N, got Q={q0!r} with N={params.N!r}"
             )
         G = np.zeros(order + 1)  # coefficients of S*I/(N - Q)
     for k in range(order):
@@ -125,7 +126,8 @@ def _taylor_coefficients(state, params, kind, order):
 def output_jets(
     state: EpidemicState, params: ModelParams, kind: ModelKind, t: float = 0.0
 ) -> OutputJet:
-    """Exact output derivatives at a state, by repeated total differentiation."""
+    """Exact output derivatives at a state (S, I, Q, R), any length-4
+    sequence, by repeated total differentiation."""
     _, I, Q = _taylor_coefficients(state, params, kind, order=3)
     a = params.alpha
     return OutputJet(

@@ -46,9 +46,10 @@ class Scenario:
     Construction builds the parts once: ModelParams, IntegratorConfig,
     NoiseSpec and the GainSet each check their own ranges, and their
     ValueError becomes a ConfigError naming the scenario key. Checked
-    here are only the rules no part owns: the initial counts and
-    observer guesses, and an odd smoothing window. Whether the window
-    fits the series is checked where smoothing happens, by `estimate`.
+    here are only the rules no part owns: a `ModelKind` kind, the
+    initial counts and observer guesses, and an odd smoothing window.
+    Whether the window fits the series is checked where smoothing
+    happens, by `estimate`.
     """
 
     kind: ModelKind = ModelKind.FULL
@@ -73,6 +74,10 @@ class Scenario:
     out_dir: str = "out"
 
     def __post_init__(self):
+        # Every dispatch tests `kind is ModelKind.FULL`, so a string
+        # such as "full" would silently run the simplified model.
+        if not isinstance(self.kind, ModelKind):
+            raise ConfigError(f"model.kind must be a ModelKind, got {self.kind!r}")
         for prefix, build in (
             ("params", self.params),
             ("sim", self.integrator_config),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siqr import ConfigError, ModelKind, parse_scenario
+from siqr import ConfigError, ModelKind, Scenario, parse_scenario
 from siqr.cli import (
     cmd_check,
     cmd_estimate,
@@ -122,6 +122,13 @@ def test_horizon_shorter_than_step_rejected():
 def test_out_of_range_value_names_the_key(text, key):
     with pytest.raises(ConfigError, match=key):
         parse_scenario(text)
+
+
+def test_kind_that_is_no_model_kind_names_the_key():
+    # Dispatch tests `kind is ModelKind.FULL`: the string "full" would
+    # run the simplified model.
+    with pytest.raises(ConfigError, match="model.kind"):
+        Scenario(kind="full")
 
 
 def test_window_wider_than_the_series_fails_estimate_only(tmp_path, capsys):

@@ -15,12 +15,12 @@ from siqr import (
     Scenario,
     guard_measurements,
     integrate,
+    observer_rhs,
     run_observer,
 )
 from siqr.cli import make_measurements
 from siqr.integrator import _BLOCK_ROWS
 from siqr.models import vector_field
-from siqr.observer import _field
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
 
@@ -83,6 +83,23 @@ def test_driven_rejects_short_input_series():
     init = sc.observer_init(10.0, 50.0)
     with pytest.raises(ValueError, match="input series covers"):
         run_observer(record, sc.gain_set(), sc.N, init, cfg, sc.kind)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda t: np.ones(t.size),
+        lambda t: np.ones((t.size - 1, 1)),
+        lambda t: np.ones((t.size + 1, 1)),
+    ],
+    ids=["1-D", "too-few-rows", "too-many-rows"],
+)
+def test_inputs_result_of_wrong_shape_names_inputs(rows):
+    # The result is checked per block, before any stage runs, so the
+    # error names `inputs` and the block instead of blaming rhs.
+    cfg = IntegratorConfig(dt=0.1, horizon=1.0)
+    with pytest.raises(ValueError, match=r"^inputs must return one row per time.*block from t=0\)"):
+        integrate(lambda x, u: (u,), [0.0], cfg, inputs=rows)
 
 
 @pytest.mark.parametrize("result", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
@@ -187,14 +204,12 @@ def test_observer_run_equals_array_rk4_bitwise(kind):
     init = sc.observer_init(guarded.y1[0], guarded.y2[0])
     cfg, K = sc.integrator_config(), sc.gain_set()
     run = run_observer(measurements, K, sc.N, init, cfg, sc.kind)
-    full = kind is ModelKind.FULL
 
     def array_field(x, y1, y2):
-        z1, z2 = float(np.log(y1)), float(np.log(y2))
-        return np.array(_field(x.tolist(), y1, y2, z1, z2, K.K, sc.N, full))
+        return observer_rhs(x, y1, y2, K, sc.N, kind)
 
     inputs = (guarded.times, np.column_stack([guarded.y1, guarded.y2]))
-    expected = _array_rk4(array_field, init.as_array(), cfg, inputs)
+    expected = _array_rk4(array_field, init, cfg, inputs)
     assert np.array_equal(run.trajectory.states, expected)
 
 

@@ -41,7 +41,7 @@ def test_observe_zero_infected():
     states = np.column_stack(
         [np.full(3, 5e4), np.zeros(3), np.full(3, 7.0), np.zeros(3)]
     )
-    series = observe(Trajectory(times=times, states=states, dt=0.5), 0.07)
+    series = observe(Trajectory(times=times, states=states), 0.07)
     assert np.all(series.y1 == 0.0)
 
 

@@ -138,8 +138,8 @@ def test_observer_error_dynamics_match_block_matrices():
     y1, y2 = 0.9, 6.0
     truth = consistent_state(y1, y2, 0.33, 0.1, 0.23, 0.0).as_array()
     err = rng.normal(0, 1e-3, 7)
-    perturbed = ObserverState.from_array(truth + err)
-    d_truth = observer_rhs(ObserverState.from_array(truth), y1, y2, REF_GAINS, 1e5)
+    perturbed = ObserverState(*(truth + err))
+    d_truth = observer_rhs(ObserverState(*truth), y1, y2, REF_GAINS, 1e5)
     d_pert = observer_rhs(perturbed, y1, y2, REF_GAINS, 1e5)
     diff = d_pert - d_truth
     m1 = assemble_m1(REF_GAINS)
@@ -502,7 +502,7 @@ def test_observer_rhs_without_kind_is_the_papers_field():
                 -K[6] * n * y1 * iy1,
             ]
         )
-        state = ObserverState.from_array(x)
+        state = ObserverState(*x)
         assert np.array_equal(observer_rhs(state, y1, y2, REF_GAINS, n), expected)
         assert np.array_equal(
             observer_rhs(state, y1, y2, REF_GAINS, n, ModelKind.SIMPLIFIED), expected
