@@ -190,11 +190,14 @@ def cmd_estimate(scenario: Scenario, noisy: bool = True):
 
 
 def cmd_identify(scenario: Scenario, t: float):
-    """Closed-form parameter recovery from the noise-free jet at time t."""
+    """Closed-form parameter recovery from the noise-free jet at the step
+    nearest time t, which labels the jet."""
     if not scenario.dt <= t <= scenario.horizon:
         raise ConfigError(f"--t must lie in [sim.dt, sim.horizon], got {t!r}")
     traj = simulate_truth(dataclasses.replace(scenario, horizon=t))
-    jet = output_jets(traj.states[-1].tolist(), scenario.params(), scenario.kind, t=t)
+    jet = output_jets(
+        traj.states[-1].tolist(), scenario.params(), scenario.kind, t=float(traj.times[-1])
+    )
     recover = recover_full if scenario.kind is ModelKind.FULL else recover_simplified
     try:
         rec = recover(jet, scenario.alpha * scenario.I0, scenario.N)

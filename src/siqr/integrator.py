@@ -21,7 +21,7 @@ from .errors import DivergenceError
 __all__ = ["MAX_STEPS", "IntegratorConfig", "Trajectory", "integrate"]
 
 # A run stores every step: 10**6 steps of the 7-state observer hold
-# 56 MB of states and take about 9 s of RK4 in pure Python (5 s for
+# 56 MB of states and take about 9 s of RK4 in pure Python (3.5 s for
 # the 4-state model; one vCPU of a KVM Xeon, Python 3.11).
 MAX_STEPS = 10**6
 # Steps are written into the states array, and input rows computed,

@@ -71,41 +71,40 @@ class EpidemicState(NamedTuple):
         return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
 
-def rhs(kind: ModelKind, x, params: ModelParams) -> tuple:
-    """Time derivative (dS, dI, dQ, dR) in individuals/day, as a tuple.
-
-    x holds the compartment sizes (S, I, Q, R) as any length-4 sequence
-    of numbers (a tuple of Python floats from the integrator, or an
-    array). The four components sum to zero (total population is
-    conserved). Raises DomainError for the full model when Q >= N, where
-    the susceptible pool N - Q is empty or negative.
-    """
-    S, I, Q, _ = x
-    if kind is ModelKind.FULL:
-        pool = params.N - Q
-        if pool <= 0:
-            raise DomainError(f"full model needs Q < N, got Q={Q!r} with N={params.N!r}")
-    else:
-        pool = params.N
-    infection = params.beta * S * I / pool
-    placement = params.alpha * I
-    recovery_i = params.rho * I
-    recovery_q = params.rho * Q
-    return (
-        -infection,
-        infection - placement - recovery_i,
-        placement - recovery_q,
-        recovery_i + recovery_q,
-    )
-
-
 def vector_field(kind: ModelKind, params: ModelParams):
-    """rhs as a plain callable on length-4 sequences, for the integrator."""
+    """The SIQR field x -> (dS, dI, dQ, dR) in individuals/day, with the
+    rates, N and the kind bound once per run. x is any length-4 sequence
+    (S, I, Q, R), such as the integrator's tuple of floats or an array;
+    the tuple out sums to zero. Raises DomainError for the full model
+    when Q >= N, where the susceptible pool N - Q is empty or negative."""
+    beta, rho, alpha, N = params.beta, params.rho, params.alpha, params.N
+    full = kind is ModelKind.FULL
 
     def field(x):
-        return rhs(kind, x, params)
+        S, I, Q, _ = x
+        if full:
+            pool = N - Q
+            if pool <= 0:
+                raise DomainError(f"full model needs Q < N, got Q={Q!r} with N={N!r}")
+        else:
+            pool = N
+        infection = beta * S * I / pool
+        placement = alpha * I
+        recovery_i = rho * I
+        recovery_q = rho * Q
+        return (
+            -infection,
+            infection - placement - recovery_i,
+            placement - recovery_q,
+            recovery_i + recovery_q,
+        )
 
     return field
+
+
+def rhs(kind: ModelKind, x, params: ModelParams) -> tuple:
+    """`vector_field(kind, params)` at one state x, as a one-shot call."""
+    return vector_field(kind, params)(x)
 
 
 def r0(params: ModelParams) -> float:

@@ -8,6 +8,7 @@ through the model right-hand side, never by numerical differencing.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,10 @@ class NoiseSpec:
             raise ValueError(
                 f"relative_sigma must be finite and non-negative, got {self.relative_sigma!r}"
             )
+        try:
+            operator.index(self.seed)  # numpy's generator takes integers only
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 

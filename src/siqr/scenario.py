@@ -22,6 +22,7 @@ so on noisy data the seed vector is the safer setting.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,9 @@ class Scenario:
     NoiseSpec and the GainSet each check their own ranges, and their
     ValueError becomes a ConfigError naming the scenario key. Checked
     here are only the rules no part owns: a `ModelKind` kind, the
-    initial counts and observer guesses, and an odd smoothing window.
-    Whether the window fits the series is checked where smoothing
-    happens, by `estimate`.
+    initial counts and observer guesses, and an odd integer smoothing
+    window. Whether the window fits the series is checked where
+    smoothing happens, by `estimate`.
     """
 
     kind: ModelKind = ModelKind.FULL
@@ -97,6 +98,12 @@ class Scenario:
                 raise ConfigError(f"{key} must be finite and non-negative, got {value!r}")
         if not self.initial_state().S > 0:
             raise ConfigError("initial compartments exceed the population size params.N")
+        try:
+            operator.index(self.smooth_window)  # it sizes an index array
+        except TypeError:
+            raise ConfigError(
+                f"smooth.window must be an integer, got {self.smooth_window!r}"
+            ) from None
         if not (self.smooth_window >= 1 and self.smooth_window % 2 == 1):
             raise ConfigError(f"smooth.window must be odd and >= 1, got {self.smooth_window!r}")
         for key, value in (

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siqr import ConfigError, ModelKind, Scenario, parse_scenario
+import siqr.cli
+from siqr import ConfigError, ModelKind, Scenario, output_jets, parse_scenario
 from siqr.cli import (
     cmd_check,
     cmd_estimate,
@@ -140,9 +141,19 @@ def test_window_wider_than_the_series_fails_estimate_only(tmp_path, capsys):
     assert main(["simulate", "--config", str(config)]) == 0
 
 
-def test_replace_takes_the_parsers_path():
-    with pytest.raises(ConfigError, match="params.beta"):
-        replace(parse_scenario(""), beta=float("nan"))
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("beta", float("nan"), "params.beta"),
+        # Integral values only: a float seed or window would construct and
+        # then fail in numpy with an error that names no key.
+        ("seed", 1.5, "noise.seed"),
+        ("smooth_window", 3.0, "smooth.window"),
+    ],
+)
+def test_replace_takes_the_parsers_path(field, value, key):
+    with pytest.raises(ConfigError, match=key):
+        replace(parse_scenario(""), **{field: value})
 
 
 # --- commands ---------------------------------------------------------------
@@ -219,6 +230,21 @@ def test_cmd_identify_simplified_kind(tmp_path):
     sc = scenario_in(tmp_path, "model.kind = simplified")
     rec = cmd_identify(sc, t=1.0)
     assert rec.beta == pytest.approx(0.4, rel=1e-6)
+
+
+def test_cmd_identify_takes_and_labels_the_step_nearest_t(tmp_path, monkeypatch):
+    # At sim.dt = 0.01, --t 0.025 rounds to the step at t = 0.02.
+    jets = []
+
+    def recorded(*args, **kwargs):
+        jets.append(output_jets(*args, **kwargs))
+        return jets[-1]
+
+    monkeypatch.setattr(siqr.cli, "output_jets", recorded)
+    sc = scenario_in(tmp_path)
+    assert cmd_identify(sc, t=0.025) == cmd_identify(sc, t=0.02)
+    assert jets[0] == jets[1]
+    assert jets[0].t == 0.02
 
 
 def test_cmd_identify_rejects_time_outside_horizon(tmp_path):

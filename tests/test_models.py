@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import siqr.models
 from siqr import (
     DomainError,
     EpidemicState,
+    IntegratorConfig,
     ModelKind,
     ModelParams,
     check_assumptions,
+    integrate,
     r0,
     rhs,
 )
+from siqr.models import vector_field
+from test_integrator import _array_rk4
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
 REF_STATE = EpidemicState(S=99985.0, I=10.0, Q=5.0, R=0.0).as_array()
@@ -53,6 +58,64 @@ def test_rhs_full_rejects_q_at_population_size():
         rhs(ModelKind.FULL, state, REF)
     # the simplified variant has no such singularity
     rhs(ModelKind.SIMPLIFIED, state, REF)
+
+
+def _written_out(kind, params):
+    """The model equations written out term by term, in the order and
+    grouping that `vector_field` must keep."""
+
+    def field(x):
+        S, I, Q, _ = x
+        pool = params.N - Q if kind is ModelKind.FULL else params.N
+        return (
+            -(params.beta * S * I / pool),
+            params.beta * S * I / pool - params.alpha * I - params.rho * I,
+            params.alpha * I - params.rho * Q,
+            params.rho * I + params.rho * Q,
+        )
+
+    return field
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# Uniformly drawn states: every term is nonzero, and regrouping a product
+# or a difference of the field changes the last bit for some of them.
+_STATES = np.random.default_rng(5).uniform([5e4, 1.0, 0.0, 0.0], [1e5, 3e4, 2e4, 3e4], (200, 4))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("as_tuple", [True, False], ids=["tuple", "ndarray"])
+def test_field_and_rhs_equal_the_written_out_equations_bitwise(kind, as_tuple):
+    params = ModelParams(beta=0.37, rho=0.11, alpha=0.067, N=1e5)
+    field = vector_field(kind, params)
+    expected = _written_out(kind, params)
+    for row in _STATES:
+        x = tuple(row.tolist()) if as_tuple else row
+        assert type(field(x)) is tuple
+        assert _bits(field(x)) == _bits(expected(x))
+        assert _bits(rhs(kind, x, params)) == _bits(expected(x))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_model_run_equals_array_rk4_over_the_written_out_equations(kind):
+    cfg = IntegratorConfig(dt=0.01, horizon=10.0)
+    x0 = [99985.0, 10.0, 5.0, 0.0]
+    written_out = _written_out(kind, REF)
+    traj = integrate(vector_field(kind, REF), x0, cfg)
+    assert _bits(traj.states) == _bits(_array_rk4(lambda x: np.array(written_out(x)), x0, cfg))
+
+
+def test_built_field_does_not_call_rhs(monkeypatch):
+    def forwarded(*args):
+        raise AssertionError("the built field called models.rhs")
+
+    monkeypatch.setattr(siqr.models, "rhs", forwarded)
+    cfg = IntegratorConfig(dt=0.01, horizon=1.0)
+    for kind in ModelKind:
+        integrate(vector_field(kind, REF), [99985.0, 10.0, 5.0, 0.0], cfg)
 
 
 @given(beta=rates, rho=rates, alpha=rates, S=sizes, I=sizes, Q=sizes, R=sizes)
