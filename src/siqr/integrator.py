@@ -6,12 +6,19 @@ reports a state that stops being finite. The trajectories here are
 smooth and slow over a ten-day horizon, so a fixed step keeps the runs
 deterministic and trivially reproducible. A step works on one Python
 float per state component: on states of 4 and 7 components numpy's
-per-call overhead costs more than the arithmetic.
+per-call overhead costs more than the arithmetic, and so does a Python
+call. A field's equations are therefore written once, as a `FieldBody`,
+and `integrate` inlines that body at the four stages of an RK4 block
+generated for it; `compile_field` builds the callable form of the same
+body. Any other callable is called once per stage.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import linecache
 import math
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +28,9 @@ from .errors import DivergenceError
 __all__ = ["MAX_STEPS", "IntegratorConfig", "Trajectory", "integrate"]
 
 # A run stores every step: 10**6 steps of the 7-state observer hold
-# 56 MB of states and take about 9 s of RK4 in pure Python (3.5 s for
-# the 4-state model; one vCPU of a KVM Xeon, Python 3.11).
+# 56 MB of states and take 3.5 to 6 s of RK4 in pure Python (2.5 to
+# 3.6 s for the 4-state model; three runs of each kind on one vCPU of a
+# shared KVM Xeon, Python 3.11).
 MAX_STEPS = 10**6
 # Steps are written into the states array, and input rows computed,
 # this many at a time, so the Python floats of one block at most are
@@ -75,12 +83,14 @@ class Trajectory:
             raise ValueError("times and states must be aligned")
 
 
-def _input_rows(inputs, at, t_block):
-    """inputs(at) as a list of rows, checked to hold one row per time."""
+def _input_rows(inputs, at, t_block, width):
+    """inputs(at) as a list of rows, checked to hold one row per time
+    and, unless width is None, width values per row."""
     rows = np.asarray(inputs(at))
-    if rows.ndim != 2 or rows.shape[0] != at.size:
+    if rows.ndim != 2 or rows.shape[0] != at.size or width not in (None, rows.shape[1]):
+        per_row = "" if width is None else f" of {width} values"
         raise ValueError(
-            f"inputs must return one row per time, got shape {rows.shape} "
+            f"inputs must return one row per time{per_row}, got shape {rows.shape} "
             f"for {at.size} times (block from t={t_block:.6g})"
         )
     return rows.tolist()
@@ -90,75 +100,157 @@ def _attach_time(exc, t):
     raise type(exc)(f"{exc} (rhs evaluation at t={t:.6g})") from exc
 
 
-# One RK4 block, written out per state component so that a step does
-# its arithmetic on local names (x0 + h * k1_0, ...), with no per-step
-# loop over the components. `{x}` and the k's stand for d names each;
-# `_rk4_block(d)` fills them in. The expressions and their order are
-# those of the array form, so every d gives the same bits as numpy RK4.
-_RK4_TEMPLATE = """\
-def rk4_block(rhs, x, u_nodes, u_mids, start, dt):
-    h = 0.5 * dt
-    c = dt / 6.0
-    {x} = x
-    block = []
-    append = block.append
-    u_node = u_nodes[0]
-    for u_mid, u_next in zip(u_mids, u_nodes[1:]):
-        try:
-            {k1} = rhs(x, *u_node)
-            {k2} = rhs({x_k1}, *u_mid)
-            {k3} = rhs({x_k2}, *u_mid)
-            {k4} = rhs({x_k3}, *u_next)
-        except Exception as exc:  # noqa: BLE001 - context is the point
-            # The failing step is step len(block) of this block.
-            _attach_time(exc, (start + len(block)) * dt)
-{step}
-        x = {x}
-        append(x)
-        u_node = u_next
-    return block
+class FieldBody:
+    """The equations of a vector field x' = f(x, *u), written once as
+    Python statements.
+
+    `source` reads state component i as {x<i>} and assigns derivative i
+    to {dx<i>}, for i < dim. Reading each {x<i>} once, into a local
+    name, keeps a stage from computing it twice, and an unread one costs
+    nothing. It reads the inputs by the names in `inputs` (None: the
+    whole input row as {u}), the constants by the names in `constants`
+    and other globals from `env`. Its own names must not be those of
+    the RK4 block: x, h, c, dt, start, step, states, extend, exc,
+    u_nodes, u_mids, u_node, u_mid, u_next, x<i>, dx<i> and k<stage>_<i>.
+    `compile_field` builds the callable of a body, and `integrate`
+    inlines the body at the four stages of its RK4 block; each is
+    compiled once per body and process. Bodies compare by identity. (A
+    plain class: a dataclass would add about 1 ms to `import siqr`.)
+    """
+
+    def __init__(self, name: str, dim: int, constants: tuple, inputs, source: str, env: dict):
+        self.name, self.dim, self.constants = name, dim, constants
+        self.inputs, self.source, self.env = inputs, source, env
+
+
+def _fill(source, x, dx, u, indent):
+    """`source` with {x<i>} -> x[i], {dx<i>} -> dx[i] and {u} -> u, indented."""
+    # The braces delimit each name: "{x1}" is no part of "{x10}" or "{dx1}".
+    for i, (x_i, dx_i) in enumerate(zip(x, dx)):
+        source = source.replace(f"{{x{i}}}", x_i).replace(f"{{dx{i}}}", dx_i)
+    return textwrap.indent(source.replace("{u}", u), indent).rstrip("\n")
+
+
+def _tuple_of(items):
+    # "(a, )" keeps d = 1 a tuple, and "()" serves d = 0.
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _exec(source, filename, env):
+    """Run generated `source` in a namespace made from env, with its lines
+    registered in linecache so that tracebacks and pdb show them."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = dict(env)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+_FIELD_TEMPLATE = """\
+def bind({constants}):
+    def field(x, {inputs}):
+        {x} = x
+{body}
+        return {dx}
+    return field
 """
 
 
 @functools.cache
-def _rk4_block(d: int):
-    """The RK4 block function for states of d components, built once per d.
+def _bind_field(body: FieldBody):
+    """bind(*constants) -> field(x, *inputs), compiled once per body."""
+    x = [f"x{i}" for i in range(body.dim)]
+    dx = [f"dx{i}" for i in range(body.dim)]
+    source = _FIELD_TEMPLATE.format(
+        constants=", ".join(body.constants),
+        inputs=", ".join(body.inputs),
+        x=_tuple_of(x),
+        body=_fill(body.source, x, dx, "u", " " * 8),
+        dx=_tuple_of(dx),
+    )
+    return _exec(source, f"<siqr field {body.name}>", body.env)["bind"]
 
-    rk4_block(rhs, x, u_nodes, u_mids, start, dt) takes the state x as a
-    tuple, steps once per entry of u_mids and returns the new states as
-    a list of tuples. Step j of the block, step start + j of the run,
-    calls rhs(x, *u) with u = u_nodes[j] at its first stage, u_mids[j]
-    at the two middle ones and u_nodes[j + 1] at the last.
+
+def compile_field(body: FieldBody, *constants):
+    """The field of `body` with `constants` bound, as a callable
+    field(x, *inputs) -> tuple of dim numbers, x any sequence of dim
+    numbers. `integrate` does not call it: it inlines `body` with the
+    same constants."""
+    field = _bind_field(body)(*constants)
+    field.rk4_body = (body, constants)
+    return field
+
+
+@functools.cache
+def _called_body(d: int) -> FieldBody:
+    """The body of an opaque callable rhs on d components: one call per stage."""
+    x = [f"{{x{i}}}" for i in range(d)]
+    dx = [f"{{dx{i}}}" for i in range(d)]
+    source = f"{_tuple_of(dx)} = rhs({_tuple_of(x)}, *{{u}})\n"
+    return FieldBody(f"rhs d={d}", d, ("rhs",), None, source, {})
+
+
+# One RK4 block, written out per state component so that a step does
+# its arithmetic on local names (x0 + h * k1_0, ...), with no per-step
+# loop over the components. Each stage is the field's body with {x<i>}
+# filled in by the stage state, {dx<i>} by the stage slope k<stage>_<i>
+# and its inputs bound to the stage's input row; the body of an opaque
+# callable calls it once per stage. `{x}` stands for the d names x<i>.
+# The expressions and their order are those of the array form, so a
+# body gives the same bits as numpy RK4 over its callable field.
+_RK4_TEMPLATE = """\
+def rk4_block(x, u_nodes, u_mids, start, dt, {constants}):
+    h = 0.5 * dt
+    c = dt / 6.0
+    {x} = x
+    states = array("d")
+    extend = states.extend
+    u_node = u_nodes[0]
+    for step, u_mid, u_next in zip(count(start), u_mids, u_nodes[1:]):
+        try:
+{stages}
+        except Exception as exc:  # noqa: BLE001 - context is the point
+            _attach_time(exc, step * dt)
+{step}
+        extend({x})
+        u_node = u_next
+    return states, {x}
+"""
+
+
+@functools.cache
+def _rk4_block(body: FieldBody):
+    """The RK4 block function of `body`, built once per body.
+
+    rk4_block(x, u_nodes, u_mids, start, dt, *constants) takes the state
+    x as a sequence of floats, steps once per entry of u_mids and returns
+    the new states as one flat array('d') of rows, and the last state as
+    a tuple. Step j of the block, step start + j of the run, takes its
+    input row u_nodes[j] at its first stage, u_mids[j] at the two
+    middle ones and u_nodes[j + 1] at the last.
     """
+    from array import array  # a shared library: loaded at the first run, not at import
 
-    def tuple_of(items):
-        # "(a, )" keeps d = 1 a tuple, and "()" serves d = 0.
-        return "(" + "".join(f"{item}, " for item in items) + ")"
-
-    def names(stem):
-        return tuple_of(f"{stem}{i}" for i in range(d))
-
-    def stage(step, k):
-        return tuple_of(f"x{i} + {step} * {k}_{i}" for i in range(d))
-
+    d = body.dim
+    stages = []
+    for s, (step, row) in enumerate(
+        [(None, "u_node"), ("h", "u_mid"), ("h", "u_mid"), ("dt", "u_next")], start=1
+    ):
+        x = [f"x{i}" if step is None else f"(x{i} + {step} * k{s - 1}_{i})" for i in range(d)]
+        dx = [f"k{s}_{i}" for i in range(d)]
+        bind = "" if not body.inputs else f"{''.join(f'{u}, ' for u in body.inputs)}= {row}\n"
+        stages.append(_fill(bind + body.source, x, dx, row, " " * 12))
     source = _RK4_TEMPLATE.format(
-        x=names("x"),
-        k1=names("k1_"),
-        k2=names("k2_"),
-        k3=names("k3_"),
-        k4=names("k4_"),
-        x_k1=stage("h", "k1"),
-        x_k2=stage("h", "k2"),
-        x_k3=stage("dt", "k3"),
+        constants=", ".join(body.constants),
+        x=_tuple_of(f"x{i}" for i in range(d)),
+        stages="\n".join(stages),
         # Summed in the order of the array form x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4).
         step="\n".join(
             f"        x{i} = x{i} + c * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
             for i in range(d)
         ),
     )
-    namespace = {"_attach_time": _attach_time}
-    exec(compile(source, f"<siqr rk4 d={d}>", "exec"), namespace)
-    return namespace["rk4_block"]
+    env = {**body.env, "_attach_time": _attach_time, "array": array, "count": itertools.count}
+    return _exec(source, f"<siqr rk4 {body.name}>", env)["rk4_block"]
 
 
 def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
@@ -170,22 +262,38 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     stage time. It is called twice per block of up to 1024 steps, at
     the block's step nodes and at its half steps, so an interpolation or
     a transform of the inputs runs once per block on arrays (ValueError
-    if its result has another shape). rhs receives x as a tuple of d
-    Python floats and the entries of u as Python floats, and returns d
-    numbers (a tuple is cheapest); x supports no array arithmetic.
-    Exceptions raised by rhs, or by unpacking a result that does not
-    have d entries, are re-raised with the offending time attached to
-    the message. Raises DivergenceError, with the time of the first step
-    whose state is not finite and the index of its first non-finite
-    component, if the state stops being finite.
+    if its result has another shape). x0 is a 1-D sequence of d numbers
+    (ValueError otherwise).
+
+    A field built by `compile_field` is not called: its body is inlined
+    at the four stages of the block, and x0 must have the body's d
+    components and each input row its number of inputs. Any other rhs
+    is called once per stage; it receives x as a tuple of d Python
+    floats and the entries of u as Python floats, and returns d numbers
+    (a tuple is cheapest); x supports no array arithmetic.
+
+    Exceptions raised by the field, or by unpacking a result that does
+    not have d entries, are re-raised with the offending time attached
+    to the message. Raises DivergenceError, with the time of the first
+    step whose state is not finite and the index of its first
+    non-finite component, if the state stops being finite.
     """
     n = cfg.n_steps
     dt = cfg.dt
     x = np.asarray(x0, dtype=float)
-    states = np.empty((n + 1, x.size))
+    if x.ndim != 1:
+        raise ValueError(f"x0 must be a 1-D sequence of state components, got shape {x.shape}")
+    d = x.size
+    body, constants = getattr(rhs, "rk4_body", None) or (_called_body(d), (rhs,))
+    if body.dim != d:
+        raise ValueError(
+            f"x0 must have the {body.dim} components of the {body.name} field, got shape {x.shape}"
+        )
+    width = None if body.inputs is None else len(body.inputs)
+    rk4_block = _rk4_block(body)
+    states = np.empty((n + 1, d))
     states[0] = x
-    rk4_block = _rk4_block(x.size)
-    x = tuple(x.tolist())
+    x = x.tolist()
     empty = [()] * (_BLOCK_ROWS + 1)
     # Divergence shows up as inf/NaN states and is reported below; the
     # intermediate overflow warnings of an rhs that uses numpy carry no
@@ -197,11 +305,10 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
                 u_nodes, u_mids = empty, empty[: stop - start]
             else:
                 nodes = np.arange(start, stop + 1) * dt  # equal to cfg.times[start:stop + 1]
-                u_nodes = _input_rows(inputs, nodes, nodes[0])
-                u_mids = _input_rows(inputs, nodes[:-1] + 0.5 * dt, nodes[0])
-            block = rk4_block(rhs, x, u_nodes, u_mids, start, dt)
-            states[start + 1 : stop + 1] = block
-            x = block[-1]
+                u_nodes = _input_rows(inputs, nodes, nodes[0], width)
+                u_mids = _input_rows(inputs, nodes[:-1] + 0.5 * dt, nodes[0], width)
+            block, x = rk4_block(x, u_nodes, u_mids, start, dt, *constants)
+            states[start + 1 : stop + 1] = np.frombuffer(block).reshape(stop - start, d)
     times = cfg.times
     bad = np.argwhere(~np.isfinite(states))  # row-major: first step, then component
     if bad.size:

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .integrator import FieldBody, compile_field
 
 __all__ = [
     "ModelKind",
@@ -71,35 +72,45 @@ class EpidemicState(NamedTuple):
         return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
 
+# The SIQR equations, the one place they are written: `vector_field`
+# builds the callable, and `integrate` inlines them at its RK4 stages.
+_SIQR = FieldBody(
+    name="model",
+    dim=4,
+    constants=("beta", "rho", "alpha", "N", "full"),
+    inputs=(),
+    source="""\
+S = {x0}
+I = {x1}
+Q = {x2}
+if full:
+    pool = N - Q
+    if pool <= 0:
+        raise DomainError(f"full model needs Q < N, got Q={Q!r} with N={N!r}")
+else:
+    pool = N
+infection = beta * S * I / pool
+placement = alpha * I
+recovery_i = rho * I
+recovery_q = rho * Q
+{dx0} = -infection
+{dx1} = infection - placement - recovery_i
+{dx2} = placement - recovery_q
+{dx3} = recovery_i + recovery_q
+""",
+    env={"DomainError": DomainError},
+)
+
+
 def vector_field(kind: ModelKind, params: ModelParams):
     """The SIQR field x -> (dS, dI, dQ, dR) in individuals/day, with the
     rates, N and the kind bound once per run. x is any length-4 sequence
     (S, I, Q, R), such as the integrator's tuple of floats or an array;
     the tuple out sums to zero. Raises DomainError for the full model
-    when Q >= N, where the susceptible pool N - Q is empty or negative."""
-    beta, rho, alpha, N = params.beta, params.rho, params.alpha, params.N
+    when Q >= N, where the susceptible pool N - Q is empty or negative.
+    `integrate` inlines the field's equations instead of calling it."""
     full = kind is ModelKind.FULL
-
-    def field(x):
-        S, I, Q, _ = x
-        if full:
-            pool = N - Q
-            if pool <= 0:
-                raise DomainError(f"full model needs Q < N, got Q={Q!r} with N={N!r}")
-        else:
-            pool = N
-        infection = beta * S * I / pool
-        placement = alpha * I
-        recovery_i = rho * I
-        recovery_q = rho * Q
-        return (
-            -infection,
-            infection - placement - recovery_i,
-            placement - recovery_q,
-            recovery_i + recovery_q,
-        )
-
-    return field
+    return compile_field(_SIQR, params.beta, params.rho, params.alpha, params.N, full)
 
 
 def rhs(kind: ModelKind, x, params: ModelParams) -> tuple:

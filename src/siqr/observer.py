@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MeasurementError
-from .integrator import IntegratorConfig, Trajectory, integrate
+from .integrator import FieldBody, IntegratorConfig, Trajectory, compile_field, integrate
 from .models import ModelKind
 from .observation import OutputSeries
 
@@ -132,43 +132,55 @@ def beta_hat(k_hat, delta_hat):
     return 0.5 * (k_hat - np.sqrt(np.maximum(disc, 0.0)))
 
 
+# The observer's equations, the one place they are written:
+# `_observer_field` builds the callable, and `integrate` inlines them at
+# its RK4 stages. z_i = log y_i. Under `full`, the quarantine outflow:
+# with S ~ N - Q the full model's growth rate bends by beta*Q'/N with
+# Q' = y1 - rho*y2. A negative beta_hat (transient k_hat < 0) would feed
+# this term back into k_hat with the wrong sign, so it is floored at
+# zero. That is the estimator map `beta_hat` in scalar arithmetic:
+# calling `beta_hat` there (numpy's scalar ufuncs) would make a call of
+# the built full-model field about 3.5 times as costly (2.3 against
+# 0.67 us; Python 3.11, numpy 2.4, one vCPU of a KVM Xeon).
+_OBSERVER = FieldBody(
+    name="observer",
+    dim=7,
+    constants=("k1", "k2", "k3", "k4", "k5", "k6", "k7", "N", "full"),
+    inputs=("y1", "y2", "z1", "z2"),
+    source="""\
+z1_hat = {x0}
+z2_hat = {x1}
+delta_hat = {x2}
+rho_hat = {x3}
+y1_hat = {x4}
+v_hat = {x5}
+k_hat = {x6}
+innov_z1 = z1_hat - z1
+innov_z2 = z2_hat - z2
+innov_y1 = y1_hat - y1
+curvature = -k_hat * y1 / N
+if full:
+    disc = k_hat * k_hat - 4.0 * delta_hat * k_hat
+    beta = 0.5 * (k_hat - math.sqrt(disc)) if disc > 0 else 0.5 * k_hat
+    if beta > 0:
+        curvature += beta * (y1 - rho_hat * y2) / N
+{dx0} = delta_hat - rho_hat - k1 * innov_z1
+{dx1} = y1 / y2 - rho_hat - k2 * innov_z1
+{dx2} = -k3 * innov_z1
+{dx3} = -k4 * innov_z1 - innov_z2
+{dx4} = v_hat * y1 - k5 * y1 * innov_y1
+{dx5} = curvature - k6 * y1 * innov_y1
+{dx6} = -k7 * N * y1 * innov_y1
+""",
+    env={"math": math},
+)
+
+
 def _observer_field(K: GainSet, N: float, kind: ModelKind):
     """field(x, y1, y2, z1, z2) for `integrate`, z_i = log y_i, with the gains,
-    N and `kind` bound once per run: x a length-7 sequence, a tuple out."""
-    k1, k2, k3, k4, k5, k6, k7 = K.K
-    full = kind is ModelKind.FULL
-
-    def field(x, y1, y2, z1, z2):
-        z1_hat, z2_hat, delta_hat, rho_hat, y1_hat, v_hat, k_hat = x
-        innov_z1 = z1_hat - z1
-        innov_z2 = z2_hat - z2
-        innov_y1 = y1_hat - y1
-        curvature = -k_hat * y1 / N
-        if full:
-            # Quarantine outflow: with S ~ N - Q the full model's growth
-            # rate bends by beta*Q'/N with Q' = y1 - rho*y2. A negative
-            # beta_hat (transient k_hat < 0) would feed this term back
-            # into k_hat with the wrong sign, so it is floored at zero.
-            # This is the estimator map `beta_hat` in scalar arithmetic:
-            # calling `beta_hat` here (numpy's scalar ufuncs) would make
-            # the built field about 3.5 times as costly (2.3 against
-            # 0.67 us per call of the full-model field; Python 3.11,
-            # numpy 2.4, one vCPU of a KVM Xeon).
-            disc = k_hat * k_hat - 4.0 * delta_hat * k_hat
-            beta = 0.5 * (k_hat - math.sqrt(disc)) if disc > 0 else 0.5 * k_hat
-            if beta > 0:
-                curvature += beta * (y1 - rho_hat * y2) / N
-        return (
-            delta_hat - rho_hat - k1 * innov_z1,
-            y1 / y2 - rho_hat - k2 * innov_z1,
-            -k3 * innov_z1,
-            -k4 * innov_z1 - innov_z2,
-            v_hat * y1 - k5 * y1 * innov_y1,
-            curvature - k6 * y1 * innov_y1,
-            -k7 * N * y1 * innov_y1,
-        )
-
-    return field
+    N and `kind` bound once per run: x a length-7 sequence, a tuple out.
+    `integrate` inlines the field's equations instead of calling it."""
+    return compile_field(_OBSERVER, *K.K, N, kind is ModelKind.FULL)
 
 
 def observer_rhs(

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import traceback
 import tracemalloc
 import warnings
 
@@ -18,9 +20,10 @@ from siqr import (
     observer_rhs,
     run_observer,
 )
-from siqr.cli import make_measurements
+from siqr.cli import estimate_scenario, make_measurements
 from siqr.integrator import _BLOCK_ROWS
 from siqr.models import vector_field
+from siqr.observer import _observer_field
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
 
@@ -108,6 +111,53 @@ def test_rhs_result_of_wrong_length_raises(result):
     # state's size, nor a short one broadcast over it.
     with pytest.raises(ValueError, match=r"\(rhs evaluation at t=0\)"):
         integrate(lambda x: result, [0.0, 0.0], IntegratorConfig(0.1, 1.0))
+
+
+@pytest.mark.parametrize(
+    "field, x0, shape",
+    [
+        (lambda x: x, np.zeros((1, 4)), r"\(1, 4\)"),  # a row such as traj.states[-1:]
+        (lambda x: x, 5.0, r"\(\)"),
+        (vector_field(ModelKind.FULL, REF), [1.0, 2.0, 3.0], r"\(3,\)"),
+    ],
+    ids=["row", "scalar", "model-field-of-3"],
+)
+def test_x0_of_wrong_shape_names_x0(field, x0, shape):
+    with pytest.raises(ValueError, match=rf"^x0 must .* got shape {shape}$"):
+        integrate(field, x0, IntegratorConfig(0.1, 1.0))
+
+
+def test_built_field_checks_the_width_of_the_input_rows():
+    # A built field takes a known number of inputs: a row of another
+    # width would be dropped or unpacked wrongly, so it is refused.
+    with pytest.raises(ValueError, match=r"^inputs must return one row per time of 0 values"):
+        integrate(vector_field(ModelKind.FULL, REF), _REF_X0, IntegratorConfig(0.1, 1.0),
+                  inputs=lambda t: np.ones((t.size, 1)))
+
+
+def test_error_in_a_later_block_carries_its_time():
+    # Q passes N at step 4275, step 179 of the block from step 4096.
+    params = ModelParams(beta=0.4, rho=0.001, alpha=0.01, N=1e5)
+    cfg = IntegratorConfig(dt=0.01, horizon=60.0)
+    with pytest.raises(DomainError) as excinfo:
+        integrate(vector_field(ModelKind.FULL, params), [0.0, 3e5, 0.0, 0.0], cfg)
+    assert str(excinfo.value) == (
+        "full model needs Q < N, got Q=100000.3309152025 with N=100000.0 "
+        "(rhs evaluation at t=42.75)"
+    )
+    # The generated block's lines are in linecache, so the traceback of
+    # the original error shows the inlined line that raised it.
+    frame = traceback.extract_tb(excinfo.value.__cause__.__traceback__)[-1]
+    assert frame.filename == "<siqr rk4 model>"
+    assert frame.line == 'raise DomainError(f"full model needs Q < N, got Q={Q!r} with N={N!r}")'
+
+
+def test_observer_divergence_on_a_long_horizon_carries_its_time():
+    # Past 10 days the reference flow poles outrun RK4's stability at
+    # dt = 0.01: y1_hat blows up in the block from step 2048.
+    with pytest.raises(DivergenceError) as excinfo:
+        estimate_scenario(dataclasses.replace(Scenario(), horizon=30.0))
+    assert str(excinfo.value) == "state component 4 became non-finite at t=28.59"
 
 
 def test_overflow_raises_divergence_at_first_non_finite_step():
@@ -254,3 +304,64 @@ def test_config_validation():
     cfg = IntegratorConfig(dt=0.01, horizon=10.0)
     assert cfg.n_steps == 1000
     assert cfg.times.size == 1001
+
+
+def _calls_of(code, run):
+    """run() and the number of calls of `code` it made."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def _model_case(kind):
+    return vector_field(kind, REF), _REF_X0, None
+
+
+def _observer_case(kind, noisy):
+    sc = dataclasses.replace(Scenario(), kind=kind, horizon=12.0)
+    _, _, measurements = make_measurements(sc, noisy=noisy)
+    guarded, _, _ = guard_measurements(measurements)
+
+    def inputs(at):
+        u1 = np.interp(at, guarded.times, guarded.y1)
+        u2 = np.interp(at, guarded.times, guarded.y2)
+        return np.column_stack([u1, u2, np.log(u1), np.log(u2)])
+
+    init = sc.observer_init(guarded.y1[0], guarded.y2[0])
+    return _observer_field(sc.gain_set(), sc.N, kind), init, inputs
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *(pytest.param(lambda kind=kind: _model_case(kind), id=f"model-{kind.value}")
+          for kind in ModelKind),
+        *(pytest.param(lambda kind=kind, noisy=noisy: _observer_case(kind, noisy),
+                       id=f"observer-{kind.value}-{'noisy' if noisy else 'noise-free'}")
+          for kind in ModelKind for noisy in (True, False)),
+    ],
+)
+def test_inlined_field_equals_called_field_bitwise(case):
+    # 1,200 steps, over two blocks. `integrate` inlines a built field's
+    # equations and never calls it; called through a lambda, the same
+    # field runs once per stage and must give the same bits.
+    field, x0, inputs = case()
+    cfg = IntegratorConfig(dt=0.01, horizon=12.0)
+    assert cfg.n_steps > _BLOCK_ROWS
+    inlined, inlined_calls = _calls_of(field.__code__, lambda: integrate(field, x0, cfg, inputs))
+    called, called_calls = _calls_of(
+        field.__code__, lambda: integrate(lambda x, *u: field(x, *u), x0, cfg, inputs)
+    )
+    assert inlined_calls == 0
+    assert called_calls == 4 * cfg.n_steps
+    assert np.array_equal(inlined.states, called.states)
