@@ -53,7 +53,7 @@ def load_scenario(path) -> Scenario:
     if path is None:
         return parse_scenario("")
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_scenario(text)

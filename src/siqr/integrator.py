@@ -8,9 +8,10 @@ deterministic and trivially reproducible. A step works on one Python
 float per state component: on states of 4 and 7 components numpy's
 per-call overhead costs more than the arithmetic, and so does a Python
 call. A field's equations are therefore written once, as a `FieldBody`,
-and `integrate` inlines that body at the four stages of an RK4 block
-generated for it; `compile_field` builds the callable form of the same
-body. Any other callable is called once per stage.
+and a `Field` binds the body's constants for a run. `integrate` inlines
+a `Field`'s body at the four stages of an RK4 block generated for it;
+the callable form of the body is compiled only when a `Field` is
+called. Any other callable is called once per stage.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DivergenceError
 
-__all__ = ["MAX_STEPS", "IntegratorConfig", "Trajectory", "integrate"]
+__all__ = ["MAX_STEPS", "IntegratorConfig", "Trajectory", "Field", "integrate"]
 
 # A run stores every step: 10**6 steps of the 7-state observer hold
 # 56 MB of states and take 3.5 to 6 s of RK4 in pure Python (2.5 to
@@ -112,9 +113,7 @@ class FieldBody:
     and other globals from `env`. Its own names must not be those of
     the RK4 block: x, h, c, dt, start, step, states, extend, exc,
     u_nodes, u_mids, u_node, u_mid, u_next, x<i>, dx<i> and k<stage>_<i>.
-    `compile_field` builds the callable of a body, and `integrate`
-    inlines the body at the four stages of its RK4 block; each is
-    compiled once per body and process. Bodies compare by identity. (A
+    A `Field` binds a body's constants. Bodies compare by identity. (A
     plain class: a dataclass would add about 1 ms to `import siqr`.)
     """
 
@@ -145,39 +144,42 @@ def _exec(source, filename, env):
     return namespace
 
 
+# The callable form of a body: the constants come first, as arguments,
+# so that a call builds no closure.
 _FIELD_TEMPLATE = """\
-def bind({constants}):
-    def field(x, {inputs}):
-        {x} = x
+def field({constants}x, {inputs}):
+    {x} = x
 {body}
-        return {dx}
-    return field
+    return {dx}
 """
 
 
 @functools.cache
-def _bind_field(body: FieldBody):
-    """bind(*constants) -> field(x, *inputs), compiled once per body."""
+def _compiled_field(body: FieldBody):
+    """field(*constants, x, *inputs), compiled once per body."""
     x = [f"x{i}" for i in range(body.dim)]
     dx = [f"dx{i}" for i in range(body.dim)]
     source = _FIELD_TEMPLATE.format(
-        constants=", ".join(body.constants),
-        inputs=", ".join(body.inputs),
+        constants="".join(f"{name}, " for name in body.constants),
+        inputs="*u" if body.inputs is None else ", ".join(body.inputs),
         x=_tuple_of(x),
-        body=_fill(body.source, x, dx, "u", " " * 8),
+        body=_fill(body.source, x, dx, "u", " " * 4),
         dx=_tuple_of(dx),
     )
-    return _exec(source, f"<siqr field {body.name}>", body.env)["bind"]
+    return _exec(source, f"<siqr field {body.name}>", body.env)["field"]
 
 
-def compile_field(body: FieldBody, *constants):
-    """The field of `body` with `constants` bound, as a callable
-    field(x, *inputs) -> tuple of dim numbers, x any sequence of dim
-    numbers. `integrate` does not call it: it inlines `body` with the
-    same constants."""
-    field = _bind_field(body)(*constants)
-    field.rk4_body = (body, constants)
-    return field
+class Field:
+    """A `FieldBody` with its constants bound. `integrate` inlines the
+    body and does not call the field. Called, field(x, *inputs) returns a
+    tuple of dim numbers, x any sequence of dim numbers; the body's
+    callable form is compiled at the first call of a field of that body."""
+
+    def __init__(self, body: FieldBody, constants: tuple):
+        self.body, self.constants = body, constants
+
+    def __call__(self, x, *inputs):
+        return _compiled_field(self.body)(*self.constants, x, *inputs)
 
 
 @functools.cache
@@ -265,10 +267,10 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     if its result has another shape). x0 is a 1-D sequence of d numbers
     (ValueError otherwise).
 
-    A field built by `compile_field` is not called: its body is inlined
-    at the four stages of the block, and x0 must have the body's d
-    components and each input row its number of inputs. Any other rhs
-    is called once per stage; it receives x as a tuple of d Python
+    A `Field` is not called: its body is inlined at the four stages of
+    the block, and x0 must have the body's d components and each input
+    row its number of inputs. Any other rhs goes into a `Field` whose
+    body calls it once per stage; it receives x as a tuple of d Python
     floats and the entries of u as Python floats, and returns d numbers
     (a tuple is cheapest); x supports no array arithmetic.
 
@@ -284,7 +286,8 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     if x.ndim != 1:
         raise ValueError(f"x0 must be a 1-D sequence of state components, got shape {x.shape}")
     d = x.size
-    body, constants = getattr(rhs, "rk4_body", None) or (_called_body(d), (rhs,))
+    field = rhs if isinstance(rhs, Field) else Field(_called_body(d), (rhs,))
+    body = field.body
     if body.dim != d:
         raise ValueError(
             f"x0 must have the {body.dim} components of the {body.name} field, got shape {x.shape}"
@@ -307,7 +310,7 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
                 nodes = np.arange(start, stop + 1) * dt  # equal to cfg.times[start:stop + 1]
                 u_nodes = _input_rows(inputs, nodes, nodes[0], width)
                 u_mids = _input_rows(inputs, nodes[:-1] + 0.5 * dt, nodes[0], width)
-            block, x = rk4_block(x, u_nodes, u_mids, start, dt, *constants)
+            block, x = rk4_block(x, u_nodes, u_mids, start, dt, *field.constants)
             states[start + 1 : stop + 1] = np.frombuffer(block).reshape(stop - start, d)
     times = cfg.times
     bad = np.argwhere(~np.isfinite(states))  # row-major: first step, then component

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .integrator import FieldBody, compile_field
+from .integrator import Field, FieldBody
 
 __all__ = [
     "ModelKind",
@@ -73,7 +73,8 @@ class EpidemicState(NamedTuple):
 
 
 # The SIQR equations, the one place they are written: `vector_field`
-# builds the callable, and `integrate` inlines them at its RK4 stages.
+# binds them to a run's rates, and `integrate` inlines them at its RK4
+# stages.
 _SIQR = FieldBody(
     name="model",
     dim=4,
@@ -102,15 +103,15 @@ recovery_q = rho * Q
 )
 
 
-def vector_field(kind: ModelKind, params: ModelParams):
-    """The SIQR field x -> (dS, dI, dQ, dR) in individuals/day, with the
+def vector_field(kind: ModelKind, params: ModelParams) -> Field:
+    """The SIQR `Field` x -> (dS, dI, dQ, dR) in individuals/day, with the
     rates, N and the kind bound once per run. x is any length-4 sequence
     (S, I, Q, R), such as the integrator's tuple of floats or an array;
     the tuple out sums to zero. Raises DomainError for the full model
     when Q >= N, where the susceptible pool N - Q is empty or negative.
     `integrate` inlines the field's equations instead of calling it."""
     full = kind is ModelKind.FULL
-    return compile_field(_SIQR, params.beta, params.rho, params.alpha, params.N, full)
+    return Field(_SIQR, (params.beta, params.rho, params.alpha, params.N, full))
 
 
 def rhs(kind: ModelKind, x, params: ModelParams) -> tuple:

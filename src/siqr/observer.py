@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MeasurementError
-from .integrator import FieldBody, IntegratorConfig, Trajectory, compile_field, integrate
+from .integrator import Field, FieldBody, IntegratorConfig, Trajectory, integrate
 from .models import ModelKind
 from .observation import OutputSeries
 
@@ -133,7 +133,7 @@ def beta_hat(k_hat, delta_hat):
 
 
 # The observer's equations, the one place they are written:
-# `_observer_field` builds the callable, and `integrate` inlines them at
+# `_observer_field` binds them to a run's gains; `integrate` inlines them at
 # its RK4 stages. z_i = log y_i. Under `full`, the quarantine outflow:
 # with S ~ N - Q the full model's growth rate bends by beta*Q'/N with
 # Q' = y1 - rho*y2. A negative beta_hat (transient k_hat < 0) would feed
@@ -176,11 +176,11 @@ if full:
 )
 
 
-def _observer_field(K: GainSet, N: float, kind: ModelKind):
-    """field(x, y1, y2, z1, z2) for `integrate`, z_i = log y_i, with the gains,
+def _observer_field(K: GainSet, N: float, kind: ModelKind) -> Field:
+    """field(x, y1, y2, z1, z2), z_i = log y_i, as a `Field` with the gains,
     N and `kind` bound once per run: x a length-7 sequence, a tuple out.
     `integrate` inlines the field's equations instead of calling it."""
-    return compile_field(_OBSERVER, *K.K, N, kind is ModelKind.FULL)
+    return Field(_OBSERVER, (*K.K, N, kind is ModelKind.FULL))
 
 
 def observer_rhs(

@@ -44,13 +44,13 @@ REFERENCE_MU = tuple(m / min(DEFAULT_MU) for m in DEFAULT_MU)
 class Scenario:
     """One run's settings, valid by construction.
 
-    Construction builds the parts once: ModelParams, IntegratorConfig,
-    NoiseSpec and the GainSet each check their own ranges, and their
-    ValueError becomes a ConfigError naming the scenario key. Checked
-    here are only the rules no part owns: a `ModelKind` kind, the
-    initial counts and observer guesses, and an odd integer smoothing
-    window. Whether the window fits the series is checked where
-    smoothing happens, by `estimate`.
+    Construction builds each part once, only to check its ranges, and
+    turns its ValueError into a ConfigError naming the scenario key;
+    `params()`, `integrator_config()`, `noise_spec()` and `gain_set()`
+    build a new ModelParams, IntegratorConfig, NoiseSpec and GainSet at
+    each call. Checked here are only the rules no part owns: a
+    `ModelKind` kind, the initial counts and observer guesses, and an
+    odd integer smoothing window (`estimate` checks that it fits).
     """
 
     kind: ModelKind = ModelKind.FULL

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import json
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +20,7 @@ from siqr.cli import (
     cmd_identify,
     cmd_observe,
     cmd_simulate,
+    load_scenario,
     main,
     simulate_truth,
 )
@@ -431,6 +435,39 @@ def test_main_unusable_config_text_exits_two(tmp_path, capsys, content):
     config.write_bytes(content)
     assert main(["simulate", "--config", str(config)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_reads_a_config_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # Some editors start a UTF-8 file with U+FEFF; it is no part of the first key.
+    config = tmp_path / "scenario.cfg"
+    text = f"model.kind = simplified\nout.dir = {tmp_path / 'out'}\n"
+    config.write_text(text, encoding="utf-8-sig")
+    assert config.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_scenario(config) == parse_scenario(text)
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_commands_compile_their_rk4_blocks_and_no_callable_field(tmp_path):
+    # `integrate` inlines a `Field`'s body and never calls the field, so
+    # a command process compiles the RK4 block of each body it runs and
+    # no callable form (`<siqr field ...>`). A fresh interpreter starts
+    # with nothing compiled.
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"out.dir = {tmp_path / 'out'}\n")
+    script = """\
+import contextlib, io, json, linecache, sys
+sys.path.insert(0, sys.argv[1])
+from siqr.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([command, "--config", sys.argv[2]]) for command in ("simulate", "estimate", "check")]
+print(json.dumps([codes, sorted(name for name in linecache.cache if name.startswith("<siqr "))]))
+"""
+    src = str(Path(siqr.cli.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script, src, str(config)], capture_output=True, text=True, check=True
+    )
+    assert json.loads(run.stdout) == [[0, 0, 0], ["<siqr rk4 model>", "<siqr rk4 observer>"]]
 
 
 # The simplified model at beta = 1e300 overflows without leaving its

@@ -21,7 +21,7 @@ from siqr import (
     run_observer,
 )
 from siqr.cli import estimate_scenario, make_measurements
-from siqr.integrator import _BLOCK_ROWS
+from siqr.integrator import _BLOCK_ROWS, _compiled_field
 from siqr.models import vector_field
 from siqr.observer import _observer_field
 
@@ -352,15 +352,18 @@ def _observer_case(kind, noisy):
     ],
 )
 def test_inlined_field_equals_called_field_bitwise(case):
-    # 1,200 steps, over two blocks. `integrate` inlines a built field's
+    # 1,200 steps, over two blocks. `integrate` inlines a `Field`'s
     # equations and never calls it; called through a lambda, the same
-    # field runs once per stage and must give the same bits.
+    # field runs its compiled callable form once per stage and must give
+    # the same bits.
     field, x0, inputs = case()
     cfg = IntegratorConfig(dt=0.01, horizon=12.0)
     assert cfg.n_steps > _BLOCK_ROWS
-    inlined, inlined_calls = _calls_of(field.__code__, lambda: integrate(field, x0, cfg, inputs))
+    code = _compiled_field(field.body).__code__
+    assert code.co_filename == f"<siqr field {field.body.name}>"
+    inlined, inlined_calls = _calls_of(code, lambda: integrate(field, x0, cfg, inputs))
     called, called_calls = _calls_of(
-        field.__code__, lambda: integrate(lambda x, *u: field(x, *u), x0, cfg, inputs)
+        code, lambda: integrate(lambda x, *u: field(x, *u), x0, cfg, inputs)
     )
     assert inlined_calls == 0
     assert called_calls == 4 * cfg.n_steps
