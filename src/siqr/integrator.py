@@ -9,14 +9,13 @@ float per state component: on states of 4 and 7 components numpy's
 per-call overhead costs more than the arithmetic, and so does a Python
 call. A field's equations are therefore written once, as a `FieldBody`,
 and a `Field` binds the body's constants for a run. `integrate` inlines
-a `Field`'s body at the four stages of an RK4 block generated for it;
-the callable form of the body is compiled only when a `Field` is
-called. Any other callable is called once per stage.
+a `Field`'s body in an RK4 block generated for it, which holds only the
+arithmetic: `integrate` stores the states and adds the failing step's
+time to an error. Other callables are called once per stage.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import linecache
 import math
 import textwrap
@@ -97,10 +96,6 @@ def _input_rows(inputs, at, t_block, width):
     return rows.tolist()
 
 
-def _attach_time(exc, t):
-    raise type(exc)(f"{exc} (rhs evaluation at t={t:.6g})") from exc
-
-
 class FieldBody:
     """The equations of a vector field x' = f(x, *u), written once as
     Python statements.
@@ -111,8 +106,8 @@ class FieldBody:
     nothing. It reads the inputs by the names in `inputs` (None: the
     whole input row as {u}), the constants by the names in `constants`
     and other globals from `env`. Its own names must not be those of
-    the RK4 block: x, h, c, dt, start, step, states, extend, exc,
-    u_nodes, u_mids, u_node, u_mid, u_next, x<i>, dx<i> and k<stage>_<i>.
+    the RK4 block: x, h, c, dt, extend, u_nodes, u_mids, u_node, u_mid,
+    u_next, x<i>, dx<i> and k<stage>_<i>.
     A `Field` binds a body's constants. Bodies compare by identity. (A
     plain class: a dataclass would add about 1 ms to `import siqr`.)
     """
@@ -198,24 +193,20 @@ def _called_body(d: int) -> FieldBody:
 # and its inputs bound to the stage's input row; the body of an opaque
 # callable calls it once per stage. `{x}` stands for the d names x<i>.
 # The expressions and their order are those of the array form, so a
-# body gives the same bits as numpy RK4 over its callable field.
+# body gives the same bits as numpy RK4 over its callable field. No
+# error handling or storage: `integrate` passes `extend` for the states.
 _RK4_TEMPLATE = """\
-def rk4_block(x, u_nodes, u_mids, start, dt, {constants}):
+def rk4_block(x, u_nodes, u_mids, dt, extend, {constants}):
     h = 0.5 * dt
     c = dt / 6.0
     {x} = x
-    states = array("d")
-    extend = states.extend
     u_node = u_nodes[0]
-    for step, u_mid, u_next in zip(count(start), u_mids, u_nodes[1:]):
-        try:
+    for u_mid, u_next in zip(u_mids, u_nodes[1:]):
 {stages}
-        except Exception as exc:  # noqa: BLE001 - context is the point
-            _attach_time(exc, step * dt)
 {step}
         extend({x})
         u_node = u_next
-    return states, {x}
+    return {x}
 """
 
 
@@ -223,15 +214,13 @@ def rk4_block(x, u_nodes, u_mids, start, dt, {constants}):
 def _rk4_block(body: FieldBody):
     """The RK4 block function of `body`, built once per body.
 
-    rk4_block(x, u_nodes, u_mids, start, dt, *constants) takes the state
-    x as a sequence of floats, steps once per entry of u_mids and returns
-    the new states as one flat array('d') of rows, and the last state as
-    a tuple. Step j of the block, step start + j of the run, takes its
-    input row u_nodes[j] at its first stage, u_mids[j] at the two
-    middle ones and u_nodes[j + 1] at the last.
+    rk4_block(x, u_nodes, u_mids, dt, extend, *constants) takes the
+    state x as a sequence of floats, steps once per entry of u_mids,
+    calls extend with each new state as a tuple and returns the last
+    one. Step j of the block takes its input row u_nodes[j] at its first
+    stage, u_mids[j] at the two middle ones and u_nodes[j + 1] at the
+    last.
     """
-    from array import array  # a shared library: loaded at the first run, not at import
-
     d = body.dim
     stages = []
     for s, (step, row) in enumerate(
@@ -240,7 +229,7 @@ def _rk4_block(body: FieldBody):
         x = [f"x{i}" if step is None else f"(x{i} + {step} * k{s - 1}_{i})" for i in range(d)]
         dx = [f"k{s}_{i}" for i in range(d)]
         bind = "" if not body.inputs else f"{''.join(f'{u}, ' for u in body.inputs)}= {row}\n"
-        stages.append(_fill(bind + body.source, x, dx, row, " " * 12))
+        stages.append(_fill(bind + body.source, x, dx, row, " " * 8))
     source = _RK4_TEMPLATE.format(
         constants=", ".join(body.constants),
         x=_tuple_of(f"x{i}" for i in range(d)),
@@ -251,8 +240,7 @@ def _rk4_block(body: FieldBody):
             for i in range(d)
         ),
     )
-    env = {**body.env, "_attach_time": _attach_time, "array": array, "count": itertools.count}
-    return _exec(source, f"<siqr rk4 {body.name}>", env)["rk4_block"]
+    return _exec(source, f"<siqr rk4 {body.name}>", body.env)["rk4_block"]
 
 
 def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
@@ -274,11 +262,12 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     floats and the entries of u as Python floats, and returns d numbers
     (a tuple is cheapest); x supports no array arithmetic.
 
-    Exceptions raised by the field, or by unpacking a result that does
-    not have d entries, are re-raised with the offending time attached
-    to the message. Raises DivergenceError, with the time of the first
-    step whose state is not finite and the index of its first
-    non-finite component, if the state stops being finite.
+    An exception raised in a step (by the field, by unpacking a result
+    without d entries, by storing a value that is no real number) is
+    re-raised from itself as its type with the step's time added to the
+    message, or unchanged if its type takes more than a message. A state
+    that stops being finite raises DivergenceError, with the first such
+    step's time and the index of its first non-finite component.
     """
     n = cfg.n_steps
     dt = cfg.dt
@@ -294,6 +283,8 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
         )
     width = None if body.inputs is None else len(body.inputs)
     rk4_block = _rk4_block(body)
+    from array import array  # a shared library: loaded at the first run, not at import
+
     states = np.empty((n + 1, d))
     states[0] = x
     x = x.tolist()
@@ -310,8 +301,21 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
                 nodes = np.arange(start, stop + 1) * dt  # equal to cfg.times[start:stop + 1]
                 u_nodes = _input_rows(inputs, nodes, nodes[0], width)
                 u_mids = _input_rows(inputs, nodes[:-1] + 0.5 * dt, nodes[0], width)
-            block, x = rk4_block(x, u_nodes, u_mids, start, dt, *field.constants)
-            states[start + 1 : stop + 1] = np.frombuffer(block).reshape(stop - start, d)
+            rows = array("d")
+            try:
+                x = rk4_block(x, u_nodes, u_mids, dt, rows.extend, *field.constants)
+            except Exception as exc:  # noqa: BLE001 - context is the point
+                # The step after the rows written failed (a field of no
+                # components writes none: the block's start).
+                t = (start + len(rows) // max(d, 1)) * dt
+                try:
+                    timed = type(exc)(f"{exc} (rhs evaluation at t={t:.6g})")
+                except TypeError:  # its type takes more than a message
+                    pass  # re-raised below as it is, with no TypeError as context
+                else:
+                    raise timed from exc
+                raise
+            states[start + 1 : stop + 1] = np.frombuffer(rows).reshape(stop - start, d)
     times = cfg.times
     bad = np.argwhere(~np.isfinite(states))  # row-major: first step, then component
     if bad.size:

@@ -64,9 +64,6 @@ class EpidemicState(NamedTuple):
     Q: float
     R: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
     @classmethod
     def from_array(cls, x) -> "EpidemicState":
         return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))

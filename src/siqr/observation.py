@@ -82,8 +82,8 @@ class NoiseSpec:
 
 def observe(traj: Trajectory, alpha: float) -> OutputSeries:
     """Project an SIQR trajectory onto the measured outputs."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and strictly positive, got {alpha!r}")
     return OutputSeries(
         times=traj.times,
         y1=alpha * traj.states[:, 1],

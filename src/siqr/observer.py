@@ -285,11 +285,9 @@ def run_observer(
     guarded, subs1, subs2 = guard_measurements(measurements)
     times, y1, y2 = guarded.times, guarded.y1, guarded.y2
     end = cfg.n_steps * cfg.dt
-    if times[0] > 1e-12 or times[-1] < end - 1e-9:
-        raise ValueError(
-            f"input series covers [{times[0]:.6g}, {times[-1]:.6g}] "
-            f"but the integration needs [0, {end:.6g}]"
-        )
+    if times.size == 0 or times[0] > 1e-12 or times[-1] < end - 1e-9:
+        covers = f"covers [{times[0]:.6g}, {times[-1]:.6g}]" if times.size else "is empty"
+        raise ValueError(f"input series {covers} but the integration needs [0, {end:.6g}]")
 
     def inputs(at):
         # Linear interpolation: a zero-order hold would bias the observer

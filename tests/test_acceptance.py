@@ -228,7 +228,7 @@ def test_criterion_7_estimator_round_trip():
 def test_criterion_8_conservation_and_convergence_order():
     sc = Scenario()
     params = sc.params()
-    x0 = sc.initial_state().as_array()
+    x0 = sc.initial_state()
     traj = integrate(
         vector_field(ModelKind.SIMPLIFIED, params), x0, IntegratorConfig(dt=0.01, horizon=10.0)
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import subprocess
 import sys
 import traceback
 import tracemalloc
@@ -86,6 +87,10 @@ def test_driven_rejects_short_input_series():
     init = sc.observer_init(10.0, 50.0)
     with pytest.raises(ValueError, match="input series covers"):
         run_observer(record, sc.gain_set(), sc.N, init, cfg, sc.kind)
+    # A series with no samples covers nothing either.
+    empty = OutputSeries(times=times[:0], y1=record.y1[:0], y2=record.y2[:0])
+    with pytest.raises(ValueError, match="integration needs"):
+        run_observer(empty, sc.gain_set(), sc.N, init, cfg, sc.kind)
 
 
 @pytest.mark.parametrize(
@@ -111,6 +116,27 @@ def test_rhs_result_of_wrong_length_raises(result):
     # state's size, nor a short one broadcast over it.
     with pytest.raises(ValueError, match=r"\(rhs evaluation at t=0\)"):
         integrate(lambda x: result, [0.0, 0.0], IntegratorConfig(0.1, 1.0))
+
+
+def test_error_whose_type_needs_more_than_a_message_keeps_its_type():
+    # CalledProcessError cannot be built from one message, so it is
+    # re-raised as it is rather than as the TypeError of its constructor.
+    def field(x):
+        raise subprocess.CalledProcessError(1, "cmd")
+
+    with pytest.raises(subprocess.CalledProcessError) as excinfo:
+        integrate(field, [0.0], IntegratorConfig(0.1, 1.0))
+    assert (excinfo.value.returncode, excinfo.value.cmd) == (1, "cmd")
+
+
+def test_error_while_a_step_is_written_carries_its_time():
+    # The slope turns complex at the last stage of the step from t = 0.2,
+    # at x = 0.2 + 0.1: the step's state cannot be stored as floats.
+    def field(x):
+        return (1j,) if x[0] >= 0.3 else (1.0,)
+
+    with pytest.raises(TypeError, match=r"\(rhs evaluation at t=0\.2\)$"):
+        integrate(field, [0.0], IntegratorConfig(0.1, 1.0))
 
 
 @pytest.mark.parametrize(

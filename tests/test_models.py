@@ -21,7 +21,7 @@ from siqr.models import vector_field
 from test_integrator import _array_rk4
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
-REF_STATE = EpidemicState(S=99985.0, I=10.0, Q=5.0, R=0.0).as_array()
+REF_STATE = EpidemicState(S=99985.0, I=10.0, Q=5.0, R=0.0)
 
 rates = st.floats(min_value=1e-3, max_value=2.0, allow_nan=False)
 sizes = st.floats(min_value=0.0, max_value=25000.0, allow_nan=False)
@@ -46,14 +46,14 @@ def test_rhs_conserves_population_at_reference():
 
 
 def test_rhs_no_infected_leaves_only_quarantine_flow():
-    state = EpidemicState(S=5e4, I=0.0, Q=120.0, R=30.0).as_array()
+    state = EpidemicState(S=5e4, I=0.0, Q=120.0, R=30.0)
     for kind in ModelKind:
         d = rhs(kind, state, REF)
         assert d == pytest.approx([0.0, 0.0, -REF.rho * 120.0, REF.rho * 120.0])
 
 
 def test_rhs_full_rejects_q_at_population_size():
-    state = EpidemicState(S=0.0, I=1.0, Q=1e5, R=0.0).as_array()
+    state = EpidemicState(S=0.0, I=1.0, Q=1e5, R=0.0)
     with pytest.raises(DomainError):
         rhs(ModelKind.FULL, state, REF)
     # the simplified variant has no such singularity
@@ -121,7 +121,7 @@ def test_built_field_does_not_call_rhs(monkeypatch):
 @given(beta=rates, rho=rates, alpha=rates, S=sizes, I=sizes, Q=sizes, R=sizes)
 def test_rhs_conservation_property(beta, rho, alpha, S, I, Q, R):
     params = ModelParams(beta=beta, rho=rho, alpha=alpha, N=1e5)
-    state = EpidemicState(S=S, I=I, Q=Q, R=R).as_array()
+    state = EpidemicState(S=S, I=I, Q=Q, R=R)
     for kind in ModelKind:
         d = rhs(kind, state, params)
         scale = np.abs(d).sum() + 1.0
@@ -131,7 +131,7 @@ def test_rhs_conservation_property(beta, rho, alpha, S, I, Q, R):
 @given(beta=rates, rho=rates, alpha=rates, S=sizes, I=sizes, R=sizes)
 def test_full_matches_simplified_when_quarantine_empty(beta, rho, alpha, S, I, R):
     params = ModelParams(beta=beta, rho=rho, alpha=alpha, N=1e5)
-    state = EpidemicState(S=S, I=I, Q=0.0, R=R).as_array()
+    state = EpidemicState(S=S, I=I, Q=0.0, R=R)
     d_full = rhs(ModelKind.FULL, state, params)
     d_simple = rhs(ModelKind.SIMPLIFIED, state, params)
     assert np.array_equal(d_full, d_simple)
@@ -147,7 +147,7 @@ def test_full_matches_simplified_when_quarantine_empty(beta, rho, alpha, S, I, R
 )
 def test_susceptibles_strictly_decrease_while_infection_active(beta, rho, alpha, S, I, Q):
     params = ModelParams(beta=beta, rho=rho, alpha=alpha, N=1e5)
-    state = EpidemicState(S=S, I=I, Q=Q, R=0.0).as_array()
+    state = EpidemicState(S=S, I=I, Q=Q, R=0.0)
     for kind in ModelKind:
         assert rhs(kind, state, params)[0] < 0
 

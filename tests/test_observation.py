@@ -45,6 +45,15 @@ def test_observe_zero_infected():
     assert np.all(series.y1 == 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_observe_rejects_alpha_that_is_not_finite_and_positive(alpha):
+    # The rule of ModelParams: a nan or inf rate would give non-finite
+    # measurements instead of an error.
+    traj = reference_trajectory(ModelKind.SIMPLIFIED, horizon=1.0)
+    with pytest.raises(ValueError, match="^alpha must be"):
+        observe(traj, alpha)
+
+
 def test_jet_reference_dy2():
     jet = output_jets(EpidemicState(99985, 10, 5, 0), REF, ModelKind.SIMPLIFIED)
     assert jet.dy2 == pytest.approx(0.07 * 10 - 0.1 * 5, rel=1e-14)
