@@ -63,6 +63,21 @@ class HChain:
     dh2: float
 
 
+def _check_finite(jet: OutputJet) -> None:
+    """Raise DegenerateInputError naming the first entry of the jet that
+    is not finite."""
+    # 0.0 * x is a zero for finite x and NaN for an infinite or NaN x, so
+    # one product checks the seven entries; the loop only names one.
+    if 0.0 * jet.y1 * jet.dy1 * jet.d2y1 * jet.d3y1 * jet.y2 * jet.dy2 * jet.d2y2 == 0.0:
+        return
+    for name in ("y1", "dy1", "d2y1", "d3y1", "y2", "dy2", "d2y2"):
+        value = getattr(jet, name)
+        if not math.isfinite(value):
+            raise DegenerateInputError(
+                f"jet entry {name} must be finite, got {value!r} (t={jet.t!r})"
+            )
+
+
 def recover_rho(jet: OutputJet) -> float:
     """rho = (y1 - dy2)/y2; singular where the quarantine is empty."""
     if jet.y2 <= 0:
@@ -82,7 +97,12 @@ def h_chain(jet: OutputJet, N: float) -> HChain:
     a2 = jet.d2y1 / jet.y1
     a3 = jet.d3y1 / jet.y1
     dh1 = a2 - a1 * a1
-    ddh1 = a3 - 3.0 * a1 * a2 + 2.0 * a1 ** 3
+    try:
+        ddh1 = a3 - 3.0 * a1 * a2 + 2.0 * a1 ** 3
+    except OverflowError:  # a float power raises where a float product gives inf
+        raise DegenerateInputError(
+            f"log-derivative chain overflows, dy1/y1={a1!r} (t={jet.t!r})"
+        ) from None
     h2 = (N - jet.y2) * dh1
     dh2 = -jet.dy2 * dh1 + (N - jet.y2) * ddh1
     return HChain(h1=a1, dh1=dh1, ddh1=ddh1, h2=h2, dh2=dh2)
@@ -108,7 +128,9 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
     X = dy2 - beta*I and keeps the negative root that implies positive
     rates. Early in an epidemic the negative root is unique; later both
     roots may be negative, and only one survives the positivity filter.
+    A jet with an entry that is not finite raises DegenerateInputError.
     """
+    _check_finite(jet)
     rho = recover_rho(jet)
     chain = h_chain(jet, N)
     A = chain.dh1
@@ -154,8 +176,11 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     hence beta*I = -N*(ddh1/dh1 - h1 + rho) and then
     alpha = -N*dh1/(beta*I) - h1. Requires dh1 < 0, which holds on any
     simplified-model trajectory with I > 0; a non-negative dh1 signals
-    the wrong model or no epidemic.
+    the wrong model or no epidemic. A jet with an entry that is not
+    finite, or one that makes beta*I or alpha exactly zero, raises
+    DegenerateInputError.
     """
+    _check_finite(jet)
     rho = recover_rho(jet)
     chain = h_chain(jet, N)
     if chain.dh1 >= 0:
@@ -170,7 +195,11 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     a2 = jet.d2y1 / jet.y1
     a3 = jet.d3y1 / jet.y1
     beta_i = N * (4.0 * a1 * a2 - 3.0 * a1 ** 3 - a3) / chain.dh1
+    if beta_i == 0.0:
+        raise DegenerateInputError(f"beta*I vanishes at t={jet.t!r}")
     alpha = -N * chain.dh1 / beta_i - h1
+    if alpha == 0.0:
+        raise DegenerateInputError(f"alpha vanishes at t={jet.t!r}")
     beta = alpha * beta_i / jet.y1
     return RecoveredParams(
         rho=rho, alpha=float(alpha), beta=float(beta), epsilon=float(y1_at_0 / alpha)

@@ -34,6 +34,16 @@ class ModelKind(Enum):
     SIMPLIFIED = "simplified"
 
 
+def is_full(kind: ModelKind) -> bool:
+    """Whether `kind` is the full model. Every dispatch on a kind goes
+    through here, so a kind that is not a `ModelKind`, such as the
+    string "full", raises a ValueError instead of selecting the
+    simplified model."""
+    if not isinstance(kind, ModelKind):
+        raise ValueError(f"kind must be a ModelKind, got {kind!r}")
+    return kind is ModelKind.FULL
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Epidemic rates (1/day) and the known total population size.
@@ -106,9 +116,9 @@ def vector_field(kind: ModelKind, params: ModelParams) -> Field:
     (S, I, Q, R), such as the integrator's tuple of floats or an array;
     the tuple out sums to zero. Raises DomainError for the full model
     when Q >= N, where the susceptible pool N - Q is empty or negative.
-    `integrate` inlines the field's equations instead of calling it."""
-    full = kind is ModelKind.FULL
-    return Field(_SIQR, (params.beta, params.rho, params.alpha, params.N, full))
+    `integrate` inlines the field's equations instead of calling it.
+    Raises ValueError if `kind` is not a `ModelKind`."""
+    return Field(_SIQR, (params.beta, params.rho, params.alpha, params.N, is_full(kind)))
 
 
 def rhs(kind: ModelKind, x, params: ModelParams) -> tuple:

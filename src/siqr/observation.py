@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .integrator import Trajectory
-from .models import EpidemicState, ModelKind, ModelParams
+from .models import EpidemicState, ModelKind, ModelParams, is_full
 
 __all__ = [
     "OutputSeries",
@@ -91,40 +91,59 @@ def observe(traj: Trajectory, alpha: float) -> OutputSeries:
     )
 
 
-def _taylor_coefficients(state, params, kind, order):
-    """Taylor coefficients of (S, I, Q) around the given state.
+def _convolution(a, b) -> float:
+    """sum_j a[j] * b[n-1-j] over n = len(a) == len(b) > 0, bitwise as
+    `np.dot(a, b[::-1])` returns it.
 
-    Row k holds the k-th coefficient, i.e. the k-th time derivative
+    A sum of two or more products goes through `np.dot`: BLAS may round
+    it as a chain of fused multiply-adds (OpenBLAS does on x86-64),
+    which a Python sum cannot reproduce, so only `np.dot` gives its bits
+    on every BLAS build. For one product `np.dot` returns the plain
+    product without calling BLAS (a -0.0 product stays -0.0, where a
+    BLAS sum starts from +0.0), so that case skips the call.
+    """
+    return a[0] * b[0] if len(a) == 1 else float(np.dot(a, b[::-1]))
+
+
+def _taylor_coefficients(state, params, kind, order):
+    """Taylor coefficients of (S, I, Q) around the given state, as lists
+    of Python floats.
+
+    Entry k holds the k-th coefficient, i.e. the k-th time derivative
     divided by k!. Obtained by the standard recurrence x_{k+1} =
     [rhs(x)]_k / (k+1) over truncated series arithmetic; the only
     non-polynomial operation is the division by N - Q in the full model.
+
+    The arithmetic runs on Python floats, which cost far less per
+    operation than numpy scalars. Each convolution sum is one
+    `_convolution`, which calls `np.dot` for a sum of two or more
+    products, so the coefficients have the bits of the same recurrence
+    on float64 arrays (np.dot over slices) on every BLAS build.
     """
-    beta, rho, alpha, N = params.beta, params.rho, params.alpha, params.N
+    beta, rho, alpha = float(params.beta), float(params.rho), float(params.alpha)
+    N = float(params.N)
     s0, i0, q0, _ = state
-    S = np.zeros(order + 1)
-    I = np.zeros(order + 1)
-    Q = np.zeros(order + 1)
-    S[0], I[0], Q[0] = s0, i0, q0
-    full = kind is ModelKind.FULL
+    S, I, Q = [float(s0)], [float(i0)], [float(q0)]
+    full = is_full(kind)
     if full:
         pool0 = N - Q[0]
         if pool0 <= 0:
             raise DomainError(
                 f"full model needs Q < N, got Q={q0!r} with N={params.N!r}"
             )
-        G = np.zeros(order + 1)  # coefficients of S*I/(N - Q)
+        G = []  # coefficients of S*I/(N - Q)
     for k in range(order):
-        si_k = float(np.dot(S[: k + 1], I[k::-1]))
+        si_k = _convolution(S, I)
         if full:
             # (N - Q) * G = S*I, solved coefficient by coefficient.
-            correction = float(np.dot(Q[1 : k + 1], G[k - 1 :: -1])) if k else 0.0
-            G[k] = (si_k + correction) / pool0
+            correction = _convolution(Q[1:], G) if k else 0.0
+            G.append((si_k + correction) / pool0)
             infection_k = beta * G[k]
         else:
             infection_k = beta * si_k / N
-        S[k + 1] = -infection_k / (k + 1)
-        I[k + 1] = (infection_k - alpha * I[k] - rho * I[k]) / (k + 1)
-        Q[k + 1] = (alpha * I[k] - rho * Q[k]) / (k + 1)
+        S.append(-infection_k / (k + 1))
+        I.append((infection_k - alpha * I[k] - rho * I[k]) / (k + 1))
+        Q.append((alpha * I[k] - rho * Q[k]) / (k + 1))
     return S, I, Q
 
 
@@ -132,11 +151,18 @@ def output_jets(
     state: EpidemicState, params: ModelParams, kind: ModelKind, t: float = 0.0
 ) -> OutputJet:
     """Exact output derivatives at a state (S, I, Q, R), any length-4
-    sequence, by repeated total differentiation."""
+    sequence, by repeated total differentiation.
+
+    Every field of the jet, `t` included, is a Python float, bitwise
+    equal to what the same recurrence gives on float64 arrays: sums of
+    two or more products go through `np.dot`, which may round them as
+    no Python sum does (see `_convolution`). Raises ValueError if `kind`
+    is not a `ModelKind`, and DomainError for the full model at Q >= N.
+    """
     _, I, Q = _taylor_coefficients(state, params, kind, order=3)
-    a = params.alpha
+    a = float(params.alpha)
     return OutputJet(
-        t=t,
+        t=float(t),
         y1=a * I[0],
         dy1=a * I[1],
         d2y1=2.0 * a * I[2],

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import MeasurementError
 from .integrator import Field, FieldBody, IntegratorConfig, Trajectory, integrate
-from .models import ModelKind
+from .models import ModelKind, is_full
 from .observation import OutputSeries
 
 __all__ = [
@@ -179,8 +179,9 @@ if full:
 def _observer_field(K: GainSet, N: float, kind: ModelKind) -> Field:
     """field(x, y1, y2, z1, z2), z_i = log y_i, as a `Field` with the gains,
     N and `kind` bound once per run: x a length-7 sequence, a tuple out.
-    `integrate` inlines the field's equations instead of calling it."""
-    return Field(_OBSERVER, (*K.K, N, kind is ModelKind.FULL))
+    `integrate` inlines the field's equations instead of calling it.
+    Raises ValueError if `kind` is not a `ModelKind`."""
+    return Field(_OBSERVER, (*K.K, N, is_full(kind)))
 
 
 def observer_rhs(
@@ -264,6 +265,22 @@ class ObserverRun:
     substitutions_y2: int
 
 
+def _check_record(measurements: OutputSeries) -> None:
+    """Raise ValueError naming the series of a record that `np.interp`
+    cannot read: times not finite and strictly increasing, or a y1 or y2
+    without one sample per time."""
+    times = np.asarray(measurements.times, dtype=float)
+    for name in ("y1", "y2"):
+        shape = np.shape(getattr(measurements, name))
+        if shape != times.shape:
+            raise ValueError(
+                f"{name} must have one sample per time, got shape {shape} "
+                f"for times of shape {times.shape}"
+            )
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ValueError("times must be finite and strictly increasing")
+
+
 def run_observer(
     measurements: OutputSeries,
     K: GainSet,
@@ -278,10 +295,13 @@ def run_observer(
     `observer_rhs`). Measurements are guarded against non-positive
     samples first; the infected-count estimate uses the guarded y1.
     The observer is driven by the guarded record interpolated linearly
-    at the RK4 stage times, so the record must cover [0, horizon]
-    (ValueError otherwise). Raises DivergenceError (from `integrate`,
-    with the first bad time) if the state stops being finite.
+    at the RK4 stage times, so the record must cover [0, horizon], its
+    times must be finite and strictly increasing, and y1 and y2 must
+    have one sample per time (ValueError naming the series otherwise).
+    Raises DivergenceError (from `integrate`, with the first bad time)
+    if the state stops being finite.
     """
+    _check_record(measurements)
     guarded, subs1, subs2 = guard_measurements(measurements)
     times, y1, y2 = guarded.times, guarded.y1, guarded.y2
     end = cfg.n_steps * cfg.dt

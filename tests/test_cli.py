@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -422,6 +423,21 @@ def test_main_bad_config_exits_two(tmp_path, capsys):
     config.write_text("params.beta = -3\n")
     assert main(["simulate", "--config", str(config)]) == 2
     assert "params.beta" in capsys.readouterr().err
+
+
+def test_main_identify_names_both_candidates_of_an_ambiguous_root(tmp_path, capsys):
+    # On day 8 of this full-model outbreak both roots of the recovery
+    # quadratic imply positive rates. The message prints them as plain
+    # floats, not as np.float64(...) reprs.
+    config = tmp_path / "scenario.cfg"
+    config.write_text(
+        "model.kind = full\nparams.beta = 0.5\nparams.rho = 0.08\nparams.alpha = 0.05\n"
+        f"params.N = 50000\nsim.horizon = 30\nout.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["identify", "--config", str(config), "--t", "8"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"ambiguous root selection, candidates \[-88\.19\d*, -40\.56\d*\]", err)
+    assert "np.float64(" not in err
 
 
 def test_main_missing_config_file_exits_two(tmp_path, capsys):

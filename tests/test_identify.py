@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siqr import (
+    DegenerateInputError,
     EpidemicState,
     IntegratorConfig,
     ModelKind,
@@ -162,6 +165,46 @@ def test_recover_simplified_rejects_positive_dh1():
     jet = OutputJet(t=1.0, y1=1.0, dy1=1.0, d2y1=2.0, d3y1=0.0, y2=1.0, dy2=0.9, d2y2=0.0)
     with pytest.raises(RegimeError):
         recover_simplified(jet, y1_at_0=1.0, N=1e5)
+
+
+_FINITE_JET = OutputJet(t=2.5, y1=0.7, dy1=0.1, d2y1=0.02, d3y1=0.003, y2=5.0, dy2=0.2, d2y2=0.01)
+
+
+@pytest.mark.parametrize("recover", [recover_full, recover_simplified])
+@pytest.mark.parametrize("entry", ["y1", "d3y1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_recovery_rejects_a_jet_entry_that_is_not_finite(recover, entry, value):
+    # Without the check, y1 = nan gives nan rates from recover_simplified
+    # and an "ambiguous root selection" from recover_full.
+    jet = dataclasses.replace(_FINITE_JET, **{entry: value})
+    message = rf"^jet entry {entry} must be finite, got .* \(t=2\.5\)$"
+    with pytest.raises(DegenerateInputError, match=message):
+        recover(jet, y1_at_0=0.7, N=1e5)
+
+
+@pytest.mark.parametrize("recover", [recover_full, recover_simplified])
+def test_recovery_rejects_a_log_derivative_that_overflows_its_cube(recover):
+    # dy1/y1 = 1e103: its cube overflows, which a float power raises.
+    jet = dataclasses.replace(_FINITE_JET, y1=1.0, dy1=1e103, d2y1=-1.0, d3y1=0.0)
+    with pytest.raises(DegenerateInputError, match="overflows"):
+        recover(jet, y1_at_0=0.7, N=1e5)
+
+
+@pytest.mark.parametrize(
+    "jet, match",
+    [
+        # dh1 = -1 and 4*a1*a2 - 3*a1**3 - a3 = 0, so beta*I = 0.
+        (OutputJet(t=1.0, y1=1.0, dy1=0.0, d2y1=-1.0, d3y1=0.0, y2=1.0, dy2=0.5, d2y2=0.0),
+         r"beta\*I vanishes"),
+        # beta*I = 2 and alpha = 1/2 - rho with rho = (1 - 0.5)/1.
+        (OutputJet(t=1.0, y1=1.0, dy1=0.0, d2y1=-1.0, d3y1=2.0, y2=1.0, dy2=0.5, d2y2=0.0),
+         "alpha vanishes"),
+    ],
+    ids=["beta*I = 0", "alpha = 0"],
+)
+def test_recover_simplified_rejects_a_zero_divisor(jet, match):
+    with pytest.raises(DegenerateInputError, match=match):
+        recover_simplified(jet, y1_at_0=0.7, N=1.0)
 
 
 # epsilon >= 10: below ~10 seeded individuals at N = 1e5 the curvature

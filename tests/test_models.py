@@ -99,6 +99,18 @@ def test_field_and_rhs_equal_the_written_out_equations_bitwise(kind, as_tuple):
         assert _bits(rhs(kind, x, params)) == _bits(expected(x))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda kind: vector_field(kind, REF), lambda kind: rhs(kind, REF_STATE, REF)],
+    ids=["vector_field", "rhs"],
+)
+def test_field_rejects_a_kind_that_is_no_model_kind(call):
+    # `vector_field` binds `full = kind is ModelKind.FULL`, so the string
+    # "full" would bind the simplified model.
+    with pytest.raises(ValueError, match="^kind must be a ModelKind, got 'full'$"):
+        call("full")
+
+
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_model_run_equals_array_rk4_over_the_written_out_equations(kind):
     cfg = IntegratorConfig(dt=0.01, horizon=10.0)

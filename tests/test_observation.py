@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,86 @@ def test_jet_quarantine_identities_along_trajectory(kind):
         jet = output_jets(state, REF, kind, t=traj.times[i])
         assert jet.dy2 == pytest.approx(jet.y1 - REF.rho * jet.y2, rel=1e-10)
         assert jet.d2y2 == pytest.approx(jet.dy1 - REF.rho * jet.dy2, rel=1e-10)
+
+
+def _array_jet(state, params, kind, t):
+    """The jet from the Taylor recurrence on float64 arrays (np.zeros
+    coefficient vectors, np.dot over slices), as (t, y1, ..., d2y2): the
+    oracle for the bits of `output_jets`, which runs the recurrence on
+    Python floats."""
+    beta, rho, alpha, N = params.beta, params.rho, params.alpha, params.N
+    S, I, Q, G = np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4)
+    S[0], I[0], Q[0] = state[0], state[1], state[2]
+    pool0 = N - Q[0]
+    for k in range(3):
+        si_k = float(np.dot(S[: k + 1], I[k::-1]))
+        if kind is ModelKind.FULL:
+            correction = float(np.dot(Q[1 : k + 1], G[k - 1 :: -1])) if k else 0.0
+            G[k] = (si_k + correction) / pool0
+            infection_k = beta * G[k]
+        else:
+            infection_k = beta * si_k / N
+        S[k + 1] = -infection_k / (k + 1)
+        I[k + 1] = (infection_k - alpha * I[k] - rho * I[k]) / (k + 1)
+        Q[k + 1] = (alpha * I[k] - rho * Q[k]) / (k + 1)
+    a = alpha
+    return (t, a * I[0], a * I[1], 2.0 * a * I[2], 6.0 * a * I[3], Q[0], Q[1], 2.0 * Q[2])
+
+
+def _assert_jet_is_the_array_jet(state, params, kind, t=0.0):
+    jet = output_jets(state, params, kind, t=t)
+    values = dataclasses.astuple(jet)
+    assert [type(v) for v in values] == [float] * 8
+    # Bit patterns, so that the sign of a zero counts too.
+    assert struct.pack("<8d", *values) == struct.pack("<8d", *_array_jet(state, params, kind, t))
+    return jet
+
+
+def _drawn_outbreaks(count=20, horizon=20.0):
+    rng = np.random.default_rng(13)
+    for j in range(count):
+        beta, rho, alpha, log4_n = rng.uniform([0.3, 0.08, 0.05, 0.0], [0.5, 0.12, 0.08, 1.0])
+        params = ModelParams(beta=beta, rho=rho, alpha=alpha, N=5e4 * 4.0**log4_n)
+        kind = ModelKind.FULL if j % 2 == 0 else ModelKind.SIMPLIFIED
+        x0 = [params.N - 15.0, 10.0, 5.0, 0.0]
+        cfg = IntegratorConfig(dt=0.01, horizon=horizon)
+        yield params, integrate(vector_field(kind, params), x0, cfg)
+
+
+def test_jets_equal_the_array_recurrence_bitwise_along_drawn_outbreaks():
+    # Against the oracle, not literal digits: sums of two or more
+    # products follow the BLAS kernel's rounding.
+    for params, traj in _drawn_outbreaks():
+        for i in range(0, traj.times.size, 7):
+            state = EpidemicState.from_array(traj.states[i])
+            for kind in ModelKind:
+                _assert_jet_is_the_array_jet(state, params, kind, t=traj.times[i])
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize(
+    "state",
+    [
+        EpidemicState(99995.0, 0.0, 5.0, 0.0),
+        EpidemicState(99990.0, 10.0, 0.0, 0.0),
+        EpidemicState(1e5, 0.0, 0.0, 0.0),
+        EpidemicState(-1.0, 0.0, 5.0, 0.0),
+    ],
+    ids=["I=0", "Q=0", "I=Q=0", "S<0,I=0"],
+)
+def test_jets_equal_the_array_recurrence_bitwise_at_edge_states(state, kind):
+    jet = _assert_jet_is_the_array_jet(state, REF, kind)
+    if state.S < 0 and kind is ModelKind.SIMPLIFIED:
+        # S*I = -0.0 is a sum of one product: np.dot returns the product
+        # itself, sign and all, and so does output_jets.
+        assert struct.pack("<d", jet.dy1) == struct.pack("<d", -0.0)
+
+
+def test_jet_rejects_a_kind_that_is_no_model_kind():
+    # The recurrence tests `kind is ModelKind.FULL`, so the string
+    # "full" would give the simplified model's jet.
+    with pytest.raises(ValueError, match="^kind must be a ModelKind, got 'full'$"):
+        output_jets(EpidemicState(99985, 10, 5, 0), REF, "full")
 
 
 def test_jet_full_kind_rejects_saturated_quarantine():

@@ -21,7 +21,7 @@ from siqr import (
     sigma,
     verify_pole_placement,
 )
-from siqr.observer import GainSet
+from siqr.observer import GainSet, _observer_field
 from siqr.scenario import DEFAULT_LAMBDA, DEFAULT_MU, Scenario
 
 from synthetic import linear_regime_series
@@ -436,6 +436,50 @@ def test_run_observer_divergence_reports_time():
         run_observer(series, wild, 1e5, init, IntegratorConfig(dt=0.01, horizon=6.0))
     assert excinfo.value.time is not None
     assert excinfo.value.component in range(7)
+
+
+@pytest.mark.parametrize(
+    "spoil, match",
+    [
+        (lambda t, y1, y2: (t[[0, 1, 2, 3, 4, 6, 5, *range(7, t.size)]], y1, y2), "^times"),
+        (lambda t, y1, y2: (np.where(np.arange(t.size) == 3, np.nan, t), y1, y2), "^times"),
+        (lambda t, y1, y2: (t, y1[:-3], y2), "^y1"),
+    ],
+    ids=["swapped times", "nan time", "short y1"],
+)
+def test_run_observer_rejects_a_record_np_interp_cannot_read(spoil, match):
+    # np.interp needs finite, increasing sample times and one value per
+    # time; it does not check either.
+    series = linear_series(horizon=2.0, dt=0.1)
+    times, y1, y2 = spoil(series.times, series.y1, series.y2)
+    init = consistent_state(series.y1[0], series.y2[0], DELTA, RHO, DELTA - RHO, 0.0)
+    with pytest.raises(ValueError, match=match):
+        run_observer(
+            OutputSeries(times=times, y1=y1, y2=y2),
+            REF_GAINS, 1e5, init, IntegratorConfig(dt=0.1, horizon=2.0),
+        )
+
+
+_KIND_SERIES = linear_series(horizon=1.0, dt=0.1)
+_KIND_INIT = consistent_state(0.7, 5.0, DELTA, RHO, DELTA - RHO, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: _observer_field(REF_GAINS, 1e5, kind),
+        lambda kind: observer_rhs(_KIND_INIT, 0.7, 5.0, REF_GAINS, 1e5, kind),
+        lambda kind: run_observer(
+            _KIND_SERIES, REF_GAINS, 1e5, _KIND_INIT, IntegratorConfig(dt=0.1, horizon=1.0), kind
+        ),
+    ],
+    ids=["_observer_field", "observer_rhs", "run_observer"],
+)
+def test_observer_entry_points_reject_a_kind_that_is_no_model_kind(call):
+    # Each dispatch tests `kind is ModelKind.FULL`, so the string "full"
+    # would run the simplified flow block.
+    with pytest.raises(ValueError, match="^kind must be a ModelKind, got 'full'$"):
+        call("full")
 
 
 def test_reference_run_characterisation_noise_free():
