@@ -105,9 +105,9 @@ def _convolution(a, b) -> float:
     return a[0] * b[0] if len(a) == 1 else float(np.dot(a, b[::-1]))
 
 
-def _taylor_coefficients(state, params, kind, order):
-    """Taylor coefficients of (S, I, Q) around the given state, as lists
-    of Python floats.
+def _taylor_coefficients(state, params, kind):
+    """Taylor coefficients 0 to 3 of (S, I, Q) around the given state,
+    as lists of Python floats.
 
     Entry k holds the k-th coefficient, i.e. the k-th time derivative
     divided by k!. Obtained by the standard recurrence x_{k+1} =
@@ -132,7 +132,7 @@ def _taylor_coefficients(state, params, kind, order):
                 f"full model needs Q < N, got Q={q0!r} with N={params.N!r}"
             )
         G = []  # coefficients of S*I/(N - Q)
-    for k in range(order):
+    for k in range(3):
         si_k = _convolution(S, I)
         if full:
             # (N - Q) * G = S*I, solved coefficient by coefficient.
@@ -159,7 +159,7 @@ def output_jets(
     no Python sum does (see `_convolution`). Raises ValueError if `kind`
     is not a `ModelKind`, and DomainError for the full model at Q >= N.
     """
-    _, I, Q = _taylor_coefficients(state, params, kind, order=3)
+    _, I, Q = _taylor_coefficients(state, params, kind)
     a = float(params.alpha)
     return OutputJet(
         t=float(t),
@@ -192,15 +192,25 @@ def add_noise(series: OutputSeries, spec: NoiseSpec) -> OutputSeries:
     )
 
 
+def check_window(window) -> None:
+    """Raise ValueError unless `window` is an odd integer >= 1."""
+    try:
+        operator.index(window)  # it sizes an index array
+    except TypeError:
+        raise ValueError(f"window must be an integer, got {window!r}") from None
+    if not (window >= 1 and window % 2 == 1):
+        raise ValueError(f"window must be odd and >= 1, got {window!r}")
+
+
 def moving_average(values, window: int) -> np.ndarray:
     """Centered moving average on a uniform grid.
 
-    The window must be odd; near the ends it is clamped to the available
-    samples ([0,1,2,3,4] with window 3 gives [0.5, 1, 2, 3, 3.5]). NaN
-    samples are ignored; a window with no finite sample yields NaN.
+    The window must be an odd integer >= 1 (ValueError otherwise); near
+    the ends it is clamped to the available samples ([0,1,2,3,4] with
+    window 3 gives [0.5, 1, 2, 3, 3.5]). NaN samples are ignored; a
+    window with no finite sample yields NaN.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 1, got {window}")
+    check_window(window)
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < window:

@@ -22,15 +22,14 @@ so on noisy data the seed vector is the safer setting.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .integrator import IntegratorConfig
-from .models import EpidemicState, ModelKind, ModelParams
-from .observation import NoiseSpec
+from .models import EpidemicState, ModelKind, ModelParams, is_full
+from .observation import NoiseSpec, check_window
 from .observer import GainSet, ObserverState, gains
 
 __all__ = ["Scenario", "parse_scenario", "DEFAULT_LAMBDA", "DEFAULT_MU", "REFERENCE_MU"]
@@ -48,9 +47,9 @@ class Scenario:
     turns its ValueError into a ConfigError naming the scenario key;
     `params()`, `integrator_config()`, `noise_spec()` and `gain_set()`
     build a new ModelParams, IntegratorConfig, NoiseSpec and GainSet at
-    each call. Checked here are only the rules no part owns: a
-    `ModelKind` kind, the initial counts and observer guesses, and an
-    odd integer smoothing window (`estimate` checks that it fits).
+    each call. `is_full` checks the kind and `check_window` the
+    smoothing window (`estimate` checks that it fits); the rules no part
+    owns, on the initial counts and observer guesses, are checked here.
     """
 
     kind: ModelKind = ModelKind.FULL
@@ -75,11 +74,8 @@ class Scenario:
     out_dir: str = "out"
 
     def __post_init__(self):
-        # Every dispatch tests `kind is ModelKind.FULL`, so a string
-        # such as "full" would silently run the simplified model.
-        if not isinstance(self.kind, ModelKind):
-            raise ConfigError(f"model.kind must be a ModelKind, got {self.kind!r}")
         for prefix, build in (
+            ("model", lambda: is_full(self.kind)),
             ("params", self.params),
             ("sim", self.integrator_config),
             ("noise", self.noise_spec),
@@ -99,13 +95,9 @@ class Scenario:
         if not self.initial_state().S > 0:
             raise ConfigError("initial compartments exceed the population size params.N")
         try:
-            operator.index(self.smooth_window)  # it sizes an index array
-        except TypeError:
-            raise ConfigError(
-                f"smooth.window must be an integer, got {self.smooth_window!r}"
-            ) from None
-        if not (self.smooth_window >= 1 and self.smooth_window % 2 == 1):
-            raise ConfigError(f"smooth.window must be odd and >= 1, got {self.smooth_window!r}")
+            check_window(self.smooth_window)
+        except ValueError as exc:
+            raise ConfigError(f"smooth.{exc}") from exc
         for key, value in (
             ("observer.delta0", self.delta0),
             ("observer.rho0", self.rho0),

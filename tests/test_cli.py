@@ -123,6 +123,8 @@ def test_horizon_shorter_than_step_rejected():
         ("params.rho = fast", "params.rho"),
         ("noise.seed = 1.5", "noise.seed"),
         ("model.kind = sir", "model.kind"),
+        # Two faults: the initial counts are checked before the window.
+        ("init.I0 = -1\nsmooth.window = 4", "init.I0"),
     ],
 )
 def test_out_of_range_value_names_the_key(text, key):
@@ -135,6 +137,24 @@ def test_kind_that_is_no_model_kind_names_the_key():
     # run the simplified model.
     with pytest.raises(ConfigError, match="model.kind"):
         Scenario(kind="full")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("kind", "full", "model.kind must be a ModelKind, got 'full'"),
+        ("smooth_window", 1.5, "smooth.window must be an integer, got 1.5"),
+        ("smooth_window", 3.0, "smooth.window must be an integer, got 3.0"),
+        ("smooth_window", 4, "smooth.window must be odd and >= 1, got 4"),
+        ("smooth_window", 0, "smooth.window must be odd and >= 1, got 0"),
+    ],
+)
+def test_library_checks_read_with_the_scenario_key(field, value, message):
+    # `is_full` and `check_window` own these rules; Scenario only
+    # prefixes the key.
+    with pytest.raises(ConfigError) as info:
+        Scenario(**{field: value})
+    assert str(info.value) == message
 
 
 def test_window_wider_than_the_series_fails_estimate_only(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -255,6 +256,17 @@ def test_moving_average_reference_values():
 def test_moving_average_rejects_even_window():
     with pytest.raises(ValueError, match="odd"):
         moving_average(np.arange(10.0), 4)
+
+
+@pytest.mark.parametrize("window", [3.0, np.float64(3.0)], ids=["float", "np.float64"])
+def test_moving_average_rejects_a_window_that_is_no_integer(window):
+    with pytest.raises(ValueError, match=re.escape(f"window must be an integer, got {window!r}")):
+        moving_average(np.arange(10.0), window)
+
+
+def test_moving_average_takes_a_numpy_integer_window():
+    x = np.arange(10.0)
+    assert np.array_equal(moving_average(x, np.int64(3)), moving_average(x, 3))
 
 
 def test_moving_average_skips_nan_samples():

@@ -1,7 +1,13 @@
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 import sys
+from collections import Counter
 from pathlib import Path
+
+import siqr
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +37,36 @@ def test_src_imports_only_stdlib_numpy_and_siqr():
                 found.add((path.name, node.module.split(".")[0]))
     assert found
     assert sorted(item for item in found if item[1] not in allowed) == []
+
+
+def test_package_exports_each_modules_all_and_nothing_else():
+    # `siqr/__init__.py` star-imports every library module, so a public
+    # name is listed once, in its module's `__all__`. `errors` holds only
+    # exception classes and has no `__all__`; `cli` is the command line,
+    # which `python -m siqr` imports, not part of the library.
+    exported = {}
+    for info in pkgutil.iter_modules(siqr.__path__):
+        if info.name in ("cli", "__main__"):
+            continue
+        module = importlib.import_module(f"siqr.{info.name}")
+        if hasattr(module, "__all__"):
+            exported[module] = list(module.__all__)
+        else:
+            exported[module] = [
+                name for name, value in vars(module).items()
+                if not name.startswith("_") and inspect.isclass(value)
+                and value.__module__ == module.__name__
+            ]
+    counts = Counter(name for names in exported.values() for name in names)
+    assert [name for name, n in counts.items() if n > 1] == []
+    public = {
+        name for name, value in vars(siqr).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(counts)
+    for module, names in exported.items():
+        for name in names:
+            value = getattr(module, name)
+            assert getattr(siqr, name) is value, name
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, name
