@@ -180,6 +180,10 @@ def cmd_estimate(scenario: Scenario, noisy: bool = True):
 
     truth = {"rho_hat": scenario.rho, "beta_hat": scenario.beta, "alpha_hat": scenario.alpha}
     report = _value_errors("final", {name: getattr(est, name)[-1] for name in truth}, truth)
+    # I_hat is NaN (an empty CSV field) where alpha_hat is below its floor.
+    nan_times = est.times[np.isnan(est.I_hat)]
+    report["I_hat.finite_frac"] = float(np.isfinite(est.I_hat).mean())
+    report["I_hat.last_nan_t"] = float(nan_times[-1]) if nan_times.size else math.nan
     report["guard_substitutions.y1"] = run.substitutions_y1
     report["guard_substitutions.y2"] = run.substitutions_y2
     report["decay_bound"] = scenario.gain_set().decay_bound
@@ -204,7 +208,7 @@ def cmd_identify(scenario: Scenario, t: float):
     except (SingularPointError, RootSelectionError, DegenerateInputError, RegimeError) as exc:
         raise ConfigError(f"no closed-form recovery at --t {t!r}: {exc}") from exc
     truth = dict(rho=scenario.rho, alpha=scenario.alpha, beta=scenario.beta, epsilon=scenario.I0)
-    print(_report(_value_errors("recovered", dataclasses.asdict(rec), truth)), end="")
+    print(_report(_value_errors("recovered", rec._asdict(), truth)), end="")
     return rec
 
 

@@ -16,7 +16,7 @@ quarantine dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegenerateInputError,
@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RecoveredParams:
-    """Rates (1/day) plus the initial infected count (individuals)."""
+class RecoveredParams(NamedTuple):
+    """Rates (1/day) plus the initial infected count (individuals), a
+    length-4 tuple."""
 
     rho: float
     alpha: float
@@ -47,9 +47,8 @@ class RecoveredParams:
     epsilon: float
 
 
-@dataclass(frozen=True)
-class HChain:
-    """Log-derivative chain of y1 evaluated from one jet.
+class HChain(NamedTuple):
+    """Log-derivative chain of y1 evaluated from one jet, a length-5 tuple.
 
     h1 is dy1/y1 (full-model convention; the simplified route adds rho
     separately), dh1 and ddh1 its first two time derivatives, h2 the
@@ -105,7 +104,7 @@ def h_chain(jet: OutputJet, N: float) -> HChain:
         ) from None
     h2 = (N - jet.y2) * dh1
     dh2 = -jet.dy2 * dh1 + (N - jet.y2) * ddh1
-    return HChain(h1=a1, dh1=dh1, ddh1=ddh1, h2=h2, dh2=dh2)
+    return HChain(a1, dh1, ddh1, h2, dh2)
 
 
 def _admissible(x, chain, rho, jet):
@@ -150,8 +149,11 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
         # Stable form: avoid cancellation between -B and the radical.
         q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else 0.5 * sq
         roots = [q / A] if q == 0.0 else [q / A, C / q]
-    admissible = [(x, _admissible(x, chain, rho, jet)) for x in roots]
-    admissible = [(x, ab) for x, ab in admissible if ab is not None]
+    admissible = []
+    for x in roots:
+        ab = _admissible(x, chain, rho, jet)
+        if ab is not None:
+            admissible.append((x, ab))
     if not admissible:
         raise RootSelectionError(
             f"no negative root with positive rates among {roots!r}"
@@ -163,9 +165,7 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
             f"ambiguous root selection, candidates {[x for x, _ in admissible]!r}"
         )
     x, (alpha, beta) = admissible[0]
-    return RecoveredParams(
-        rho=rho, alpha=float(alpha), beta=float(beta), epsilon=float(y1_at_0 / alpha)
-    )
+    return RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha))
 
 
 def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
@@ -201,9 +201,7 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     if alpha == 0.0:
         raise DegenerateInputError(f"alpha vanishes at t={jet.t!r}")
     beta = alpha * beta_i / jet.y1
-    return RecoveredParams(
-        rho=rho, alpha=float(alpha), beta=float(beta), epsilon=float(y1_at_0 / alpha)
-    )
+    return RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha))
 
 
 def check_initial_inequalities(params, epsilon: float) -> dict:

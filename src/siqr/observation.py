@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +38,8 @@ class OutputSeries:
     y2: np.ndarray
 
 
-@dataclass(frozen=True)
-class OutputJet:
-    """Output values and derivatives at one instant.
+class OutputJet(NamedTuple):
+    """Output values and derivatives at one instant, a length-8 tuple.
 
     y1 carries derivatives up to order three, y2 up to order two; that is
     exactly what the recovery formulas consume.
@@ -91,34 +91,26 @@ def observe(traj: Trajectory, alpha: float) -> OutputSeries:
     )
 
 
-def _convolution(a, b) -> float:
-    """sum_j a[j] * b[n-1-j] over n = len(a) == len(b) > 0, bitwise as
-    `np.dot(a, b[::-1])` returns it.
-
-    A sum of two or more products goes through `np.dot`: BLAS may round
-    it as a chain of fused multiply-adds (OpenBLAS does on x86-64),
-    which a Python sum cannot reproduce, so only `np.dot` gives its bits
-    on every BLAS build. For one product `np.dot` returns the plain
-    product without calling BLAS (a -0.0 product stays -0.0, where a
-    BLAS sum starts from +0.0), so that case skips the call.
-    """
-    return a[0] * b[0] if len(a) == 1 else float(np.dot(a, b[::-1]))
-
-
 def _taylor_coefficients(state, params, kind):
-    """Taylor coefficients 0 to 3 of (S, I, Q) around the given state,
-    as lists of Python floats.
+    """Taylor coefficients of (S, I, Q) around the given state, as lists
+    of Python floats: S and Q to order 2, I to order 3.
 
     Entry k holds the k-th coefficient, i.e. the k-th time derivative
     divided by k!. Obtained by the standard recurrence x_{k+1} =
     [rhs(x)]_k / (k+1) over truncated series arithmetic; the only
     non-polynomial operation is the division by N - Q in the full model.
+    The jet needs no S or Q coefficient of order 3, so the last order
+    computes I's only.
 
     The arithmetic runs on Python floats, which cost far less per
-    operation than numpy scalars. Each convolution sum is one
-    `_convolution`, which calls `np.dot` for a sum of two or more
-    products, so the coefficients have the bits of the same recurrence
-    on float64 arrays (np.dot over slices) on every BLAS build.
+    operation than numpy scalars, and each sum sum_j a[j] * b[n-1-j] is
+    bitwise what `np.dot(a, b[::-1])` returns, so the coefficients have
+    the bits of the same recurrence on float64 arrays on every BLAS
+    build. A sum of two or more products goes through `np.dot`: BLAS may
+    round it as a chain of fused multiply-adds (OpenBLAS does on x86-64),
+    which a Python sum cannot reproduce. For one product `np.dot`
+    returns the plain product without calling BLAS (a -0.0 product stays
+    -0.0, where a BLAS sum starts from +0.0), so that sum is the product.
     """
     beta, rho, alpha = float(params.beta), float(params.rho), float(params.alpha)
     N = float(params.N)
@@ -133,17 +125,21 @@ def _taylor_coefficients(state, params, kind):
             )
         G = []  # coefficients of S*I/(N - Q)
     for k in range(3):
-        si_k = _convolution(S, I)
+        si_k = float(np.dot(S, I[::-1])) if k else S[0] * I[0]
         if full:
             # (N - Q) * G = S*I, solved coefficient by coefficient.
-            correction = _convolution(Q[1:], G) if k else 0.0
+            if k < 2:
+                correction = Q[1] * G[0] if k else 0.0
+            else:
+                correction = float(np.dot(Q[1:], G[::-1]))
             G.append((si_k + correction) / pool0)
             infection_k = beta * G[k]
         else:
             infection_k = beta * si_k / N
-        S.append(-infection_k / (k + 1))
         I.append((infection_k - alpha * I[k] - rho * I[k]) / (k + 1))
-        Q.append((alpha * I[k] - rho * Q[k]) / (k + 1))
+        if k < 2:
+            S.append(-infection_k / (k + 1))
+            Q.append((alpha * I[k] - rho * Q[k]) / (k + 1))
     return S, I, Q
 
 
@@ -156,20 +152,16 @@ def output_jets(
     Every field of the jet, `t` included, is a Python float, bitwise
     equal to what the same recurrence gives on float64 arrays: sums of
     two or more products go through `np.dot`, which may round them as
-    no Python sum does (see `_convolution`). Raises ValueError if `kind`
-    is not a `ModelKind`, and DomainError for the full model at Q >= N.
+    no Python sum does (see `_taylor_coefficients`). Raises ValueError
+    if `kind` is not a `ModelKind`, and DomainError for the full model
+    at Q >= N.
     """
     _, I, Q = _taylor_coefficients(state, params, kind)
     a = float(params.alpha)
+    # Positional: a NamedTuple built by keyword costs about as much as a
+    # frozen dataclass.
     return OutputJet(
-        t=float(t),
-        y1=a * I[0],
-        dy1=a * I[1],
-        d2y1=2.0 * a * I[2],
-        d3y1=6.0 * a * I[3],
-        y2=Q[0],
-        dy2=Q[1],
-        d2y2=2.0 * Q[2],
+        float(t), a * I[0], a * I[1], 2.0 * a * I[2], 6.0 * a * I[3], Q[0], Q[1], 2.0 * Q[2]
     )
 
 

@@ -138,10 +138,12 @@ def beta_hat(k_hat, delta_hat):
 # with S ~ N - Q the full model's growth rate bends by beta*Q'/N with
 # Q' = y1 - rho*y2. A negative beta_hat (transient k_hat < 0) would feed
 # this term back into k_hat with the wrong sign, so it is floored at
-# zero. That is the estimator map `beta_hat` in scalar arithmetic:
-# calling `beta_hat` there (numpy's scalar ufuncs) would make a call of
-# the built full-model field about 3.5 times as costly (2.3 against
-# 0.67 us; Python 3.11, numpy 2.4, one vCPU of a KVM Xeon).
+# zero. That is the estimator map `beta_hat` in scalar arithmetic, NaN
+# included: `not disc <= 0` sends a NaN discriminant to `math.sqrt`,
+# whose NaN then fails `beta > 0`. Calling `beta_hat` there (numpy's
+# scalar ufuncs) would make a call of the built full-model field about
+# 3.5 times as costly (2.3 against 0.67 us; Python 3.11, numpy 2.4, one
+# vCPU of a KVM Xeon).
 _OBSERVER = FieldBody(
     name="observer",
     dim=7,
@@ -161,7 +163,7 @@ innov_y1 = y1_hat - y1
 curvature = -k_hat * y1 / N
 if full:
     disc = k_hat * k_hat - 4.0 * delta_hat * k_hat
-    beta = 0.5 * (k_hat - math.sqrt(disc)) if disc > 0 else 0.5 * k_hat
+    beta = 0.5 * (k_hat - math.sqrt(disc)) if not disc <= 0 else 0.5 * k_hat
     if beta > 0:
         curvature += beta * (y1 - rho_hat * y2) / N
 {dx0} = delta_hat - rho_hat - k1 * innov_z1

@@ -356,6 +356,8 @@ def test_summary_report_keys_and_values(tmp_path, capsys):
         "final_rel_error.beta_hat",
         "final.alpha_hat",
         "final_rel_error.alpha_hat",
+        "I_hat.finite_frac",
+        "I_hat.last_nan_t",
         "guard_substitutions.y1",
         "guard_substitutions.y2",
         "decay_bound",
@@ -364,6 +366,9 @@ def test_summary_report_keys_and_values(tmp_path, capsys):
         final = float(getattr(run.estimates, name)[-1])
         assert fields[f"final.{name}"] == repr(final)
         assert fields[f"final_rel_error.{name}"] == repr(abs(final - true_value) / true_value)
+    # The reference run has an infected estimate from t = 6.89 on only.
+    assert fields["I_hat.finite_frac"] == repr(314 / 1001)
+    assert fields["I_hat.last_nan_t"] == "6.88"
     assert fields["guard_substitutions.y1"] == str(run.substitutions_y1)
     assert fields["guard_substitutions.y2"] == str(run.substitutions_y2)
     assert fields["decay_bound"] == repr(sc.gain_set().decay_bound)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,7 @@ from siqr import (
     recover_rho,
     recover_simplified,
 )
-from siqr.identify import h_chain
+from siqr.identify import HChain, RecoveredParams, h_chain
 from siqr.models import vector_field
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
@@ -176,7 +174,7 @@ _FINITE_JET = OutputJet(t=2.5, y1=0.7, dy1=0.1, d2y1=0.02, d3y1=0.003, y2=5.0, d
 def test_recovery_rejects_a_jet_entry_that_is_not_finite(recover, entry, value):
     # Without the check, y1 = nan gives nan rates from recover_simplified
     # and an "ambiguous root selection" from recover_full.
-    jet = dataclasses.replace(_FINITE_JET, **{entry: value})
+    jet = _FINITE_JET._replace(**{entry: value})
     message = rf"^jet entry {entry} must be finite, got .* \(t=2\.5\)$"
     with pytest.raises(DegenerateInputError, match=message):
         recover(jet, y1_at_0=0.7, N=1e5)
@@ -185,7 +183,7 @@ def test_recovery_rejects_a_jet_entry_that_is_not_finite(recover, entry, value):
 @pytest.mark.parametrize("recover", [recover_full, recover_simplified])
 def test_recovery_rejects_a_log_derivative_that_overflows_its_cube(recover):
     # dy1/y1 = 1e103: its cube overflows, which a float power raises.
-    jet = dataclasses.replace(_FINITE_JET, y1=1.0, dy1=1e103, d2y1=-1.0, d3y1=0.0)
+    jet = _FINITE_JET._replace(y1=1.0, dy1=1e103, d2y1=-1.0, d3y1=0.0)
     with pytest.raises(DegenerateInputError, match="overflows"):
         recover(jet, y1_at_0=0.7, N=1e5)
 
@@ -205,6 +203,51 @@ def test_recovery_rejects_a_log_derivative_that_overflows_its_cube(recover):
 def test_recover_simplified_rejects_a_zero_divisor(jet, match):
     with pytest.raises(DegenerateInputError, match=match):
         recover_simplified(jet, y1_at_0=0.7, N=1.0)
+
+
+# Jets of the reference outbreak (I0 = 10, Q0 = 0, dt = 0.01) at t = 3,
+# written out, so that no BLAS sum plays a part: recovery runs on Python
+# floats and `math.sqrt` only, and these are its bits.
+_LITERAL_JETS = [
+    (recover_full,
+     OutputJet(3.0, 1.3953257181659284, 0.32078749994159633, 0.0737113446221819,
+               0.016919724046432664, 2.6573948047927427, 1.1295862376866541,
+               0.20782887617293092),
+     ("0.10000000000000002", "0.07000000000038585", "0.4000000000018978", "9.999999999944878")),
+    (recover_simplified,
+     OutputJet(3.0, 1.3953052588194097, 0.32076797030873855, 0.07369714685896418,
+               0.016911624272533395, 2.6573791157201163, 1.1295673472473982,
+               0.20781123558399872),
+     ("0.09999999999999996", "0.07000000102910081", "0.4000000048510691", "9.9999998529856")),
+]
+
+
+@pytest.mark.parametrize("recover, jet, expected", _LITERAL_JETS, ids=["full", "simplified"])
+def test_recovery_bits_on_a_literal_jet(recover, jet, expected):
+    rec = recover(jet, y1_at_0=0.7, N=1e5)
+    assert tuple(repr(v) for v in rec) == expected
+
+
+_JET_FIELDS = ("t", "y1", "dy1", "d2y1", "d3y1", "y2", "dy2", "d2y2")
+
+
+@pytest.mark.parametrize(
+    "cls, value, fields",
+    [
+        (OutputJet, _FINITE_JET, _JET_FIELDS),
+        (OutputJet, output_jets(EpidemicState(99985, 10, 5, 0), REF, ModelKind.FULL, t=1),
+         _JET_FIELDS),
+        (HChain, h_chain(_FINITE_JET, 1e5), ("h1", "dh1", "ddh1", "h2", "dh2")),
+        (RecoveredParams, recover_full(_LITERAL_JETS[0][1], 0.7, 1e5),
+         ("rho", "alpha", "beta", "epsilon")),
+    ],
+    ids=["OutputJet", "output_jets", "HChain", "RecoveredParams"],
+)
+def test_recovery_values_are_tuples_of_floats_in_field_order(cls, value, fields):
+    assert type(value) is cls and isinstance(value, tuple)
+    assert cls._fields == fields
+    assert tuple(value) == tuple(getattr(value, name) for name in fields)
+    assert [type(v) for v in value] == [float] * len(fields)
 
 
 # epsilon >= 10: below ~10 seeded individuals at N = 1e5 the curvature

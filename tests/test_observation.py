@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import struct
 
@@ -100,7 +99,7 @@ def _array_jet(state, params, kind, t):
 
 def _assert_jet_is_the_array_jet(state, params, kind, t=0.0):
     jet = output_jets(state, params, kind, t=t)
-    values = dataclasses.astuple(jet)
+    values = tuple(jet)
     assert [type(v) for v in values] == [float] * 8
     # Bit patterns, so that the sign of a zero counts too.
     assert struct.pack("<8d", *values) == struct.pack("<8d", *_array_jet(state, params, kind, t))

@@ -560,3 +560,29 @@ def test_full_flow_block_floors_negative_beta_hat():
     full = observer_rhs(x, 0.7, 5.0, REF_GAINS, 1e5, ModelKind.FULL)
     paper = observer_rhs(x, 0.7, 5.0, REF_GAINS, 1e5)
     assert np.array_equal(full, paper)
+
+
+@pytest.mark.parametrize(
+    "k_hat, delta_hat, disc",
+    [(2e154, 1e300, "nan"), (2e154, 0.0, "inf"), (1e154, 1e300, "-inf")],
+    ids=["nan", "+inf", "-inf"],
+)
+def test_full_flow_block_agrees_with_beta_hat_at_a_discriminant_that_is_not_finite(
+    k_hat, delta_hat, disc
+):
+    # k_hat*k_hat - 4*delta_hat*k_hat overflows. The v-row's outflow term
+    # uses beta_hat's value and vanishes unless it is positive: a NaN
+    # beta_hat adds nothing.
+    y1, y2, rho_hat, n = 10.0, 5.0, 0.1, 1e5
+    x = consistent_state(y1, y2, delta_hat, rho_hat, 0.23, k_hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert repr(k_hat * k_hat - 4.0 * delta_hat * k_hat) == disc
+        beta = float(beta_hat(k_hat, delta_hat))
+        full = observer_rhs(x, y1, y2, REF_GAINS, n, ModelKind.FULL)
+        expected = observer_rhs(x, y1, y2, REF_GAINS, n)
+    # The body's v-row, in its order of operations.
+    curvature = -k_hat * y1 / n
+    if beta > 0:
+        curvature += beta * (y1 - rho_hat * y2) / n
+    expected[5] = curvature - REF_GAINS.K[5] * y1 * (x.y1_hat - y1)
+    assert np.array_equal(full, expected)
