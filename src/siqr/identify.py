@@ -87,7 +87,8 @@ def recover_rho(jet: OutputJet) -> float:
 
 
 def h_chain(jet: OutputJet, N: float) -> HChain:
-    """Evaluate the log-derivative chain of y1 from a jet."""
+    """Evaluate the log-derivative chain of y1 from a jet; raise
+    DegenerateInputError if one of its values overflows."""
     if jet.y1 <= 0:
         raise SingularPointError(
             f"log-derivative chain needs y1 > 0, got y1={jet.y1!r} (t={jet.t!r})"
@@ -99,25 +100,38 @@ def h_chain(jet: OutputJet, N: float) -> HChain:
     try:
         ddh1 = a3 - 3.0 * a1 * a2 + 2.0 * a1 ** 3
     except OverflowError:  # a float power raises where a float product gives inf
-        raise DegenerateInputError(
-            f"log-derivative chain overflows, dy1/y1={a1!r} (t={jet.t!r})"
-        ) from None
+        ddh1 = math.inf
     h2 = (N - jet.y2) * dh1
     dh2 = -jet.dy2 * dh1 + (N - jet.y2) * ddh1
+    # One product checks the five values, as in _check_finite.
+    if not 0.0 * a1 * dh1 * ddh1 * h2 * dh2 == 0.0:
+        raise DegenerateInputError(
+            f"log-derivative chain overflows, dy1/y1={a1!r} (t={jet.t!r})"
+        )
     return HChain(a1, dh1, ddh1, h2, dh2)
 
 
 def _admissible(x, chain, rho, jet):
-    """alpha and beta implied by a candidate root, or None if unphysical."""
-    if x >= 0:
+    """alpha and beta implied by a candidate root, or None if unphysical.
+
+    Written as `not ... < 0` and `not ... > 0`, so that NaN is unphysical.
+    """
+    if not x < 0:
         return None
     alpha = chain.h2 / x - chain.h1 - rho
-    if alpha <= 0:
+    if not alpha > 0:
         return None
     beta = alpha * (jet.dy2 - x) / jet.y1
-    if beta <= 0:
+    if not beta > 0:
         return None
     return alpha, beta
+
+
+def _finite(rec: RecoveredParams, jet: OutputJet) -> RecoveredParams:
+    """rec, or DegenerateInputError if one of its values is not finite."""
+    if 0.0 * rec.rho * rec.alpha * rec.beta * rec.epsilon == 0.0:
+        return rec
+    raise DegenerateInputError(f"recovery overflows, got {rec!r} (t={jet.t!r})")
 
 
 def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
@@ -127,7 +141,8 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
     X = dy2 - beta*I and keeps the negative root that implies positive
     rates. Early in an epidemic the negative root is unique; later both
     roots may be negative, and only one survives the positivity filter.
-    A jet with an entry that is not finite raises DegenerateInputError.
+    A jet with an entry that is not finite raises DegenerateInputError,
+    and so does a finite jet whose chain, quadratic or rates overflow.
     """
     _check_finite(jet)
     rho = recover_rho(jet)
@@ -144,6 +159,10 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
         if disc < 0:
             raise DegenerateInputError(
                 f"recovery quadratic has no real root (discriminant {disc!r})"
+            )
+        if not 0.0 * disc == 0.0:
+            raise DegenerateInputError(
+                f"recovery quadratic overflows, discriminant {disc!r} (t={jet.t!r})"
             )
         sq = math.sqrt(disc)
         # Stable form: avoid cancellation between -B and the radical.
@@ -165,7 +184,7 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
             f"ambiguous root selection, candidates {[x for x, _ in admissible]!r}"
         )
     x, (alpha, beta) = admissible[0]
-    return RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha))
+    return _finite(RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha)), jet)
 
 
 def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
@@ -177,8 +196,8 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     alpha = -N*dh1/(beta*I) - h1. Requires dh1 < 0, which holds on any
     simplified-model trajectory with I > 0; a non-negative dh1 signals
     the wrong model or no epidemic. A jet with an entry that is not
-    finite, or one that makes beta*I or alpha exactly zero, raises
-    DegenerateInputError.
+    finite, one whose chain or rates overflow, or one that makes beta*I
+    or alpha exactly zero, raises DegenerateInputError.
     """
     _check_finite(jet)
     rho = recover_rho(jet)
@@ -201,7 +220,7 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     if alpha == 0.0:
         raise DegenerateInputError(f"alpha vanishes at t={jet.t!r}")
     beta = alpha * beta_i / jet.y1
-    return RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha))
+    return _finite(RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha)), jet)
 
 
 def check_initial_inequalities(params, epsilon: float) -> dict:

@@ -103,14 +103,9 @@ def _taylor_coefficients(state, params, kind):
     computes I's only.
 
     The arithmetic runs on Python floats, which cost far less per
-    operation than numpy scalars, and each sum sum_j a[j] * b[n-1-j] is
-    bitwise what `np.dot(a, b[::-1])` returns, so the coefficients have
-    the bits of the same recurrence on float64 arrays on every BLAS
-    build. A sum of two or more products goes through `np.dot`: BLAS may
-    round it as a chain of fused multiply-adds (OpenBLAS does on x86-64),
-    which a Python sum cannot reproduce. For one product `np.dot`
-    returns the plain product without calling BLAS (a -0.0 product stays
-    -0.0, where a BLAS sum starts from +0.0), so that sum is the product.
+    operation than numpy scalars. Each sum of products is taken left to
+    right in a fixed order, so the coefficients' bits depend on this
+    code alone.
     """
     beta, rho, alpha = float(params.beta), float(params.rho), float(params.alpha)
     N = float(params.N)
@@ -125,13 +120,14 @@ def _taylor_coefficients(state, params, kind):
             )
         G = []  # coefficients of S*I/(N - Q)
     for k in range(3):
-        si_k = float(np.dot(S, I[::-1])) if k else S[0] * I[0]
+        si_k = S[0] * I[k]
+        for j in range(1, k + 1):
+            si_k += S[j] * I[k - j]
         if full:
             # (N - Q) * G = S*I, solved coefficient by coefficient.
-            if k < 2:
-                correction = Q[1] * G[0] if k else 0.0
-            else:
-                correction = float(np.dot(Q[1:], G[::-1]))
+            correction = Q[1] * G[k - 1] if k else 0.0
+            for j in range(2, k + 1):
+                correction += Q[j] * G[k - j]
             G.append((si_k + correction) / pool0)
             infection_k = beta * G[k]
         else:
@@ -149,12 +145,10 @@ def output_jets(
     """Exact output derivatives at a state (S, I, Q, R), any length-4
     sequence, by repeated total differentiation.
 
-    Every field of the jet, `t` included, is a Python float, bitwise
-    equal to what the same recurrence gives on float64 arrays: sums of
-    two or more products go through `np.dot`, which may round them as
-    no Python sum does (see `_taylor_coefficients`). Raises ValueError
-    if `kind` is not a `ModelKind`, and DomainError for the full model
-    at Q >= N.
+    Every field of the jet, `t` included, is a Python float. Its sums
+    are taken in a fixed order, so the bits depend on the code and not
+    on the BLAS build. Raises ValueError if `kind` is not a `ModelKind`,
+    and DomainError for the full model at Q >= N.
     """
     _, I, Q = _taylor_coefficients(state, params, kind)
     a = float(params.alpha)

@@ -188,6 +188,26 @@ def test_recovery_rejects_a_log_derivative_that_overflows_its_cube(recover):
         recover(jet, y1_at_0=0.7, N=1e5)
 
 
+# Finite jets whose log-derivative ratios overflow. Without the checks,
+# recover_simplified returns nan or infinite rates on the first two and
+# recover_full reports an ambiguous root selection among [nan, nan].
+_OVERFLOWING_JETS = [
+    # dy1/y1 = inf, so ddh1 = inf - inf + inf.
+    OutputJet(1.0, 1e-300, 1e10, 1e10, 1e10, 5.0, 0.1, 0.01),
+    # A finite chain: beta overflows, and so does the quadratic's discriminant.
+    OutputJet(1.0, 1e-200, -1e-100, 1e-50, 1e-10, 5.0, 0.1, 0.01),
+    # dy1/y1 = -inf, so dh2 = inf - inf.
+    OutputJet(1.0, 1e-300, -1e10, -1e10, -1e10, 5.0, 0.1, 0.01),
+]
+
+
+@pytest.mark.parametrize("recover", [recover_full, recover_simplified])
+@pytest.mark.parametrize("jet", _OVERFLOWING_JETS, ids=["dy1/y1=inf", "beta=-inf", "dy1/y1=-inf"])
+def test_recovery_rejects_a_finite_jet_whose_ratios_overflow(recover, jet):
+    with pytest.raises(DegenerateInputError, match=r"overflows.*\(t=1\.0\)$"):
+        recover(jet, y1_at_0=0.7, N=1e5)
+
+
 @pytest.mark.parametrize(
     "jet, match",
     [

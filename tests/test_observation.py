@@ -74,27 +74,34 @@ def test_jet_quarantine_identities_along_trajectory(kind):
 
 
 def _array_jet(state, params, kind, t):
-    """The jet from the Taylor recurrence on float64 arrays (np.zeros
-    coefficient vectors, np.dot over slices), as (t, y1, ..., d2y2): the
-    oracle for the bits of `output_jets`, which runs the recurrence on
-    Python floats."""
-    beta, rho, alpha, N = params.beta, params.rho, params.alpha, params.N
-    S, I, Q, G = np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4)
+    """The jet from the Taylor recurrence on float64 arrays, as (t, y1,
+    ..., d2y2): the oracle for the bits of `output_jets`, which runs the
+    recurrence on Python floats in a loop over the orders. Here each
+    order's sums are written out left to right on numpy float64 scalars,
+    which round every operation once, so no BLAS build changes them."""
+    beta, rho, alpha, N = (np.float64(v) for v in (params.beta, params.rho, params.alpha, params.N))
+    S, I, Q, G = np.zeros(3), np.zeros(4), np.zeros(3), np.zeros(3)
     S[0], I[0], Q[0] = state[0], state[1], state[2]
     pool0 = N - Q[0]
-    for k in range(3):
-        si_k = float(np.dot(S[: k + 1], I[k::-1]))
+
+    def advance(k, si_k, correction):
+        # Coefficient k of the field gives coefficient k + 1 of the state.
         if kind is ModelKind.FULL:
-            correction = float(np.dot(Q[1 : k + 1], G[k - 1 :: -1])) if k else 0.0
             G[k] = (si_k + correction) / pool0
             infection_k = beta * G[k]
         else:
             infection_k = beta * si_k / N
-        S[k + 1] = -infection_k / (k + 1)
         I[k + 1] = (infection_k - alpha * I[k] - rho * I[k]) / (k + 1)
-        Q[k + 1] = (alpha * I[k] - rho * Q[k]) / (k + 1)
+        if k < 2:
+            S[k + 1] = -infection_k / (k + 1)
+            Q[k + 1] = (alpha * I[k] - rho * Q[k]) / (k + 1)
+
+    advance(0, S[0] * I[0], 0.0)
+    advance(1, S[0] * I[1] + S[1] * I[0], Q[1] * G[0])
+    advance(2, S[0] * I[2] + S[1] * I[1] + S[2] * I[0], Q[1] * G[1] + Q[2] * G[0])
     a = alpha
-    return (t, a * I[0], a * I[1], 2.0 * a * I[2], 6.0 * a * I[3], Q[0], Q[1], 2.0 * Q[2])
+    jet = (t, a * I[0], a * I[1], 2.0 * a * I[2], 6.0 * a * I[3], Q[0], Q[1], 2.0 * Q[2])
+    return tuple(float(v) for v in jet)
 
 
 def _assert_jet_is_the_array_jet(state, params, kind, t=0.0):
@@ -118,8 +125,6 @@ def _drawn_outbreaks(count=20, horizon=20.0):
 
 
 def test_jets_equal_the_array_recurrence_bitwise_along_drawn_outbreaks():
-    # Against the oracle, not literal digits: sums of two or more
-    # products follow the BLAS kernel's rounding.
     for params, traj in _drawn_outbreaks():
         for i in range(0, traj.times.size, 7):
             state = EpidemicState.from_array(traj.states[i])
@@ -127,23 +132,64 @@ def test_jets_equal_the_array_recurrence_bitwise_along_drawn_outbreaks():
                 _assert_jet_is_the_array_jet(state, params, kind, t=traj.times[i])
 
 
+_EDGE_STATES = [
+    EpidemicState(99995.0, 0.0, 5.0, 0.0),
+    EpidemicState(99990.0, 10.0, 0.0, 0.0),
+    EpidemicState(1e5, 0.0, 0.0, 0.0),
+    EpidemicState(-1.0, 0.0, 5.0, 0.0),
+]
+
+
 @pytest.mark.parametrize("kind", list(ModelKind))
-@pytest.mark.parametrize(
-    "state",
-    [
-        EpidemicState(99995.0, 0.0, 5.0, 0.0),
-        EpidemicState(99990.0, 10.0, 0.0, 0.0),
-        EpidemicState(1e5, 0.0, 0.0, 0.0),
-        EpidemicState(-1.0, 0.0, 5.0, 0.0),
-    ],
-    ids=["I=0", "Q=0", "I=Q=0", "S<0,I=0"],
-)
+@pytest.mark.parametrize("state", _EDGE_STATES, ids=["I=0", "Q=0", "I=Q=0", "S<0,I=0"])
 def test_jets_equal_the_array_recurrence_bitwise_at_edge_states(state, kind):
     jet = _assert_jet_is_the_array_jet(state, REF, kind)
-    if state.S < 0 and kind is ModelKind.SIMPLIFIED:
-        # S*I = -0.0 is a sum of one product: np.dot returns the product
-        # itself, sign and all, and so does output_jets.
-        assert struct.pack("<d", jet.dy1) == struct.pack("<d", -0.0)
+    if state.S < 0:
+        # S*I = -0.0. A sum starts from its first product, so a sum of
+        # -0.0 terms stays -0.0 (a BLAS sum starts from +0.0 and gave +0.0
+        # for the full model's d2y1 and the simplified model's d3y1). The
+        # full model's order-0 correction adds +0.0, which makes its dy1
+        # +0.0.
+        negative_zeros = ["d2y1"] if kind is ModelKind.FULL else ["dy1", "d3y1"]
+        for name in ("y1", "dy1", "d2y1", "d3y1"):
+            sign = -1.0 if name in negative_zeros else 1.0
+            assert struct.pack("<d", getattr(jet, name)) == struct.pack("<d", sign * 0.0), name
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("numpy.dot called")
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_jets_call_no_blas(kind, monkeypatch):
+    states = [EpidemicState.from_array(reference_trajectory(kind, horizon=3.0).states[-1])]
+    states += _EDGE_STATES
+    monkeypatch.setattr(np, "dot", _raise)
+    for state in states:
+        output_jets(state, REF, kind)
+
+
+# One state and its jet's eight fields per kind, by exact repr. CPython
+# rounds every float operation once (it never contracts a multiply and an
+# add into a fused multiply-add), so these digits hold on every platform.
+# At this state d3y1 differs in its last digit both when S*I's order-2 sum
+# runs right to left and when it is rounded as a chain of fused
+# multiply-adds.
+_GOLDEN_STATE = EpidemicState(91259.0, 4267.25, 4433.25, 40.5)
+_GOLDEN_JETS = [
+    (ModelKind.FULL,
+     ("2.5", "298.70750000000004", "63.31693032507384", "11.210740898476303",
+      "1.146272925375957", "4433.25", "-144.6175", "77.77868032507385")),
+    (ModelKind.SIMPLIFIED,
+     ("2.5", "298.70750000000004", "58.258715970000004", "9.50136039105799",
+      "0.7958807860150314", "4433.25", "-144.6175", "72.72046597")),
+]
+
+
+@pytest.mark.parametrize("kind, expected", _GOLDEN_JETS, ids=["full", "simplified"])
+def test_jet_bits_at_a_literal_state(kind, expected):
+    jet = output_jets(_GOLDEN_STATE, REF, kind, t=2.5)
+    assert tuple(repr(v) for v in jet) == expected
 
 
 def test_jet_rejects_a_kind_that_is_no_model_kind():
