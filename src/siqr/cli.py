@@ -30,7 +30,7 @@ from .errors import (
 )
 from .identify import check_initial_inequalities, recover_full, recover_simplified
 from .integrator import integrate
-from .models import ModelKind, check_assumptions, vector_field
+from .models import check_assumptions, is_full, vector_field
 from .observation import add_noise, moving_average, observe, output_jets
 from .observer import guard_measurements, run_observer, verify_pole_placement
 from .scenario import Scenario, parse_scenario
@@ -202,7 +202,7 @@ def cmd_identify(scenario: Scenario, t: float):
     jet = output_jets(
         traj.states[-1].tolist(), scenario.params(), scenario.kind, t=float(traj.times[-1])
     )
-    recover = recover_full if scenario.kind is ModelKind.FULL else recover_simplified
+    recover = recover_full if is_full(scenario.kind) else recover_simplified
     try:
         rec = recover(jet, scenario.alpha * scenario.I0, scenario.N)
     except (SingularPointError, RootSelectionError, DegenerateInputError, RegimeError) as exc:

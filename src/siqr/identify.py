@@ -127,11 +127,13 @@ def _admissible(x, chain, rho, jet):
     return alpha, beta
 
 
-def _finite(rec: RecoveredParams, jet: OutputJet) -> RecoveredParams:
-    """rec, or DegenerateInputError if one of its values is not finite."""
-    if 0.0 * rec.rho * rec.alpha * rec.beta * rec.epsilon == 0.0:
-        return rec
-    raise DegenerateInputError(f"recovery overflows, got {rec!r} (t={jet.t!r})")
+def _checked(rec: RecoveredParams, jet: OutputJet) -> RecoveredParams:
+    """rec, unless it overflows (DegenerateInputError) or has a rate <= 0 (RegimeError)."""
+    if not 0.0 * rec.rho * rec.alpha * rec.beta * rec.epsilon == 0.0:
+        raise DegenerateInputError(f"recovery overflows, got {rec!r} (t={jet.t!r})")
+    if not (rec.rho > 0 and rec.alpha > 0 and rec.beta > 0):
+        raise RegimeError(f"recovered rates must be positive, got {rec!r} (t={jet.t!r})")
+    return rec
 
 
 def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
@@ -143,6 +145,7 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
     roots may be negative, and only one survives the positivity filter.
     A jet with an entry that is not finite raises DegenerateInputError,
     and so does a finite jet whose chain, quadratic or rates overflow.
+    Finite rates with rho <= 0 raise RegimeError.
     """
     _check_finite(jet)
     rho = recover_rho(jet)
@@ -184,7 +187,7 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
             f"ambiguous root selection, candidates {[x for x, _ in admissible]!r}"
         )
     x, (alpha, beta) = admissible[0]
-    return _finite(RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha)), jet)
+    return _checked(RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha)), jet)
 
 
 def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
@@ -197,7 +200,8 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     simplified-model trajectory with I > 0; a non-negative dh1 signals
     the wrong model or no epidemic. A jet with an entry that is not
     finite, one whose chain or rates overflow, or one that makes beta*I
-    or alpha exactly zero, raises DegenerateInputError.
+    or alpha exactly zero, raises DegenerateInputError. A rate <= 0, as
+    on runs with R0 <= 1, raises RegimeError.
     """
     _check_finite(jet)
     rho = recover_rho(jet)
@@ -220,7 +224,7 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     if alpha == 0.0:
         raise DegenerateInputError(f"alpha vanishes at t={jet.t!r}")
     beta = alpha * beta_i / jet.y1
-    return _finite(RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha)), jet)
+    return _checked(RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha)), jet)
 
 
 def check_initial_inequalities(params, epsilon: float) -> dict:

@@ -271,6 +271,7 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     """
     n = cfg.n_steps
     dt = cfg.dt
+    times = cfg.times
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"x0 must be a 1-D sequence of state components, got shape {x.shape}")
@@ -298,7 +299,7 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
             if inputs is None:
                 u_nodes, u_mids = empty, empty[: stop - start]
             else:
-                nodes = np.arange(start, stop + 1) * dt  # equal to cfg.times[start:stop + 1]
+                nodes = times[start : stop + 1]
                 u_nodes = _input_rows(inputs, nodes, nodes[0], width)
                 u_mids = _input_rows(inputs, nodes[:-1] + 0.5 * dt, nodes[0], width)
             rows = array("d")
@@ -316,7 +317,6 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
                     raise timed from exc
                 raise
             states[start + 1 : stop + 1] = np.frombuffer(rows).reshape(stop - start, d)
-    times = cfg.times
     bad = np.argwhere(~np.isfinite(states))  # row-major: first step, then component
     if bad.size:
         step, component = bad[0].tolist()

@@ -20,7 +20,6 @@ __all__ = [
     "ModelKind",
     "ModelParams",
     "EpidemicState",
-    "rhs",
     "vector_field",
     "r0",
     "check_assumptions",
@@ -119,11 +118,6 @@ def vector_field(kind: ModelKind, params: ModelParams) -> Field:
     `integrate` inlines the field's equations instead of calling it.
     Raises ValueError if `kind` is not a `ModelKind`."""
     return Field(_SIQR, (params.beta, params.rho, params.alpha, params.N, is_full(kind)))
-
-
-def rhs(kind: ModelKind, x, params: ModelParams) -> tuple:
-    """`vector_field(kind, params)` at one state x, as a one-shot call."""
-    return vector_field(kind, params)(x)
 
 
 def r0(params: ModelParams) -> float:

@@ -34,7 +34,6 @@ from .models import ModelKind, is_full
 from .observation import OutputSeries
 
 __all__ = [
-    "sigma",
     "GainSet",
     "gains",
     "ObserverState",
@@ -51,17 +50,6 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-6  # below this the infected-count estimate is meaningless
-
-
-def sigma(values, k: int) -> float:
-    """Elementary symmetric polynomial of order k of the given values.
-
-    It is the coefficient of s^(n-k) in prod(s + v) over the n values.
-    """
-    n = len(values)
-    if not 1 <= k <= n:
-        raise ValueError(f"order k must be in 1..{n}, got {k}")
-    return float(_poly_from_poles(values)[k])
 
 
 @dataclass(frozen=True)
@@ -267,10 +255,10 @@ class ObserverRun:
     substitutions_y2: int
 
 
-def _check_record(measurements: OutputSeries) -> None:
+def _check_record(measurements: OutputSeries, end: float) -> None:
     """Raise ValueError naming the series of a record that `np.interp`
-    cannot read: times not finite and strictly increasing, or a y1 or y2
-    without one sample per time."""
+    cannot read over [0, end]: times not finite, not strictly increasing
+    or not covering it, or a y1 or y2 without one sample per time."""
     times = np.asarray(measurements.times, dtype=float)
     for name in ("y1", "y2"):
         shape = np.shape(getattr(measurements, name))
@@ -281,6 +269,9 @@ def _check_record(measurements: OutputSeries) -> None:
             )
     if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
         raise ValueError("times must be finite and strictly increasing")
+    if times.size == 0 or times[0] > 1e-12 or times[-1] < end - 1e-9:
+        covers = f"covers [{times[0]:.6g}, {times[-1]:.6g}]" if times.size else "is empty"
+        raise ValueError(f"input series {covers} but the integration needs [0, {end:.6g}]")
 
 
 def run_observer(
@@ -303,13 +294,9 @@ def run_observer(
     Raises DivergenceError (from `integrate`, with the first bad time)
     if the state stops being finite.
     """
-    _check_record(measurements)
+    _check_record(measurements, cfg.n_steps * cfg.dt)
     guarded, subs1, subs2 = guard_measurements(measurements)
     times, y1, y2 = guarded.times, guarded.y1, guarded.y2
-    end = cfg.n_steps * cfg.dt
-    if times.size == 0 or times[0] > 1e-12 or times[-1] < end - 1e-9:
-        covers = f"covers [{times[0]:.6g}, {times[-1]:.6g}]" if times.size else "is empty"
-        raise ValueError(f"input series {covers} but the integration needs [0, {end:.6g}]")
 
     def inputs(at):
         # Linear interpolation: a zero-order hold would bias the observer

@@ -98,14 +98,10 @@ class Scenario:
             check_window(self.smooth_window)
         except ValueError as exc:
             raise ConfigError(f"smooth.{exc}") from exc
-        for key, value in (
-            ("observer.delta0", self.delta0),
-            ("observer.rho0", self.rho0),
-            ("observer.v0", self.v0),
-            ("observer.k0", self.k0),
-        ):
+        for name in ("delta0", "rho0", "v0", "k0"):
+            value = getattr(self, name)
             if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
+                raise ConfigError(f"observer.{name} must be finite, got {value!r}")
 
     def params(self) -> ModelParams:
         return ModelParams(beta=self.beta, rho=self.rho, alpha=self.alpha, N=self.N)

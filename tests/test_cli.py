@@ -90,6 +90,11 @@ def test_even_smoothing_window_rejected():
         parse_scenario("smooth.window = 100")
 
 
+def test_line_without_equals_sign_rejected():
+    with pytest.raises(ConfigError, match=r"^line 1: expected 'key = value', got 'params\.beta 0\.4'$"):
+        parse_scenario("params.beta 0.4\n")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_scenario("params.beta = 0.4\nparams.beta = 0.5")
@@ -463,6 +468,27 @@ def test_main_identify_names_both_candidates_of_an_ambiguous_root(tmp_path, caps
     err = capsys.readouterr().err
     assert re.search(r"ambiguous root selection, candidates \[-88\.19\d*, -40\.56\d*\]", err)
     assert "np.float64(" not in err
+
+
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_main_identify_reports_only_positive_rates(tmp_path, capsys, kind):
+    # R0 = 0.1 / 0.55 < 1. On day 15 the full model's jet still gives the
+    # rates; the simplified model's gives alpha < 0, which is no recovery.
+    config = tmp_path / "scenario.cfg"
+    config.write_text(
+        f"model.kind = {kind}\nparams.beta = 0.1\nparams.rho = 0.5\nparams.alpha = 0.05\n"
+        f"sim.horizon = 15\nout.dir = {tmp_path / 'out'}\n"
+    )
+    code = main(["identify", "--config", str(config), "--t", "15"])
+    out, err = capsys.readouterr()
+    if kind == "full":
+        assert (code, err) == (0, "")
+        errors = [float(v) for k, v in _report_fields(out).items() if "_rel_error." in k]
+        assert len(errors) == 4 and max(errors) < 1e-5
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: no closed-form recovery at --t 15.0: ")
+        assert "recovered rates must be positive" in err
 
 
 def test_main_missing_config_file_exits_two(tmp_path, capsys):

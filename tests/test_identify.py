@@ -11,6 +11,7 @@ from siqr import (
     ModelParams,
     OutputJet,
     RegimeError,
+    RootSelectionError,
     SingularPointError,
     check_initial_inequalities,
     integrate,
@@ -225,6 +226,68 @@ def test_recover_simplified_rejects_a_zero_divisor(jet, match):
         recover_simplified(jet, y1_at_0=0.7, N=1.0)
 
 
+# Finite jets that no SIQR trajectory has, at which each recovery fails
+# at a different check.
+_UNUSABLE_JETS = [
+    *(
+        (recover, OutputJet(1.0, y1, 1.0, 1.0, 1.0, 5.0, 0.1, 0.01), SingularPointError,
+         rf"^log-derivative chain needs y1 > 0, got y1={y1!r} \(t=1\.0\)$")
+        for recover in (recover_full, recover_simplified)
+        for y1 in (0.0, -1.0)
+    ),
+    # a1 = a2 = a3 = 1: dh1 = ddh1 = 0, so A = B = C = 0.
+    (recover_full, OutputJet(1.0, 1.0, 1.0, 1.0, 1.0, 5.0, 0.1, 0.01), DegenerateInputError,
+     "^recovery quadratic vanished identically$"),
+    # As above with d3y1 = 2: A = C = 0, and the one root -C/B is -0.0.
+    (recover_full, OutputJet(1.0, 1.0, 1.0, 1.0, 2.0, 5.0, 0.1, 0.01), RootSelectionError,
+     r"^no negative root with positive rates among \[-0\.0\]$"),
+    (recover_full, OutputJet(1.0, 1.0, -1.0, 0.5, 1.0, 5.0, -1.0, 2.0), DegenerateInputError,
+     r"^recovery quadratic has no real root \(discriminant -99994\.75\)$"),
+    # The positive root fails x < 0; the negative one implies beta < 0.
+    (recover_full, OutputJet(1.0, 1.0, -2.0, -2.0, -2.0, 5.0, -2.0, -2.0), RootSelectionError,
+     r"^no negative root with positive rates among \[699967\.857\d*, -0\.857\d*\]$"),
+]
+
+
+@pytest.mark.parametrize(
+    "recover, jet, error, match",
+    _UNUSABLE_JETS,
+    ids=["full y1=0", "full y1<0", "simplified y1=0", "simplified y1<0",
+         "vanished quadratic", "root -0.0", "negative discriminant", "beta<0 root"],
+)
+def test_recovery_rejects_an_unusable_jet(recover, jet, error, match):
+    with pytest.raises(error, match=match):
+        recover(jet, y1_at_0=0.7, N=1e5)
+
+
+@pytest.mark.parametrize(
+    "recover, jet, rates",
+    [
+        (recover_full, OutputJet(1.0, 1.0, -1.0, 0.5, 1.0, 5.0, 2.0, -2.0),
+         r"rho=-0\.2, alpha=24999\.95, beta=99999\.8, "),
+        (recover_simplified, OutputJet(1.0, 1.0, -2.0, -2.0, -2.0, 5.0, -2.0, -2.0),
+         r"rho=0\.6, alpha=0\.5428571428571428, beta=-380000\.0, "),
+    ],
+    ids=["full rho<0", "simplified beta<0"],
+)
+def test_recovery_rejects_rates_that_are_not_positive(recover, jet, rates):
+    # Finite rates that no epidemic has: the full route's root filter
+    # checks alpha and beta but not rho, and the simplified route has no
+    # filter.
+    message = rf"^recovered rates must be positive, got RecoveredParams\({rates}.*\(t=1\.0\)$"
+    with pytest.raises(RegimeError, match=message):
+        recover(jet, y1_at_0=0.7, N=1e5)
+
+
+def test_recover_simplified_rejects_the_rates_of_a_dying_outbreak():
+    # R0 = 0.1 / 0.55 < 1: on day 15 the simplified jet gives alpha < 0.
+    params = ModelParams(beta=0.1, rho=0.5, alpha=0.05, N=1e5)
+    x0 = [params.N - 15.0, 10.0, 5.0, 0.0]
+    jet, _ = jet_at(params, ModelKind.SIMPLIFIED, 15.0, x0)
+    with pytest.raises(RegimeError, match=r"alpha=-0\.08288410119061247, "):
+        recover_simplified(jet, y1_at_0=params.alpha * 10.0, N=params.N)
+
+
 # Jets of the reference outbreak (I0 = 10, Q0 = 0, dt = 0.01) at t = 3,
 # written out, so that no BLAS sum plays a part: recovery runs on Python
 # floats and `math.sqrt` only, and these are its bits.
@@ -319,6 +382,12 @@ def test_initial_inequalities_reference_values():
     assert report["dh1_at_0"] == pytest.approx(-1.31987e-5, rel=1e-4)
     assert report["cterm_at_0"] == pytest.approx(0.0923908, rel=1e-4)
     assert report["ok"]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e5], ids=["0", "N"])
+def test_initial_inequalities_reject_epsilon_outside_the_population(epsilon):
+    with pytest.raises(ValueError, match=rf"^epsilon must lie in \(0, N\), got {epsilon!r}$"):
+        check_initial_inequalities(REF, epsilon)
 
 
 def test_initial_inequalities_vanish_when_rates_equal():

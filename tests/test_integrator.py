@@ -16,6 +16,7 @@ from siqr import (
     ModelParams,
     OutputSeries,
     Scenario,
+    Trajectory,
     guard_measurements,
     integrate,
     observer_rhs,
@@ -77,6 +78,12 @@ def test_driven_ramp_input_integrates_exactly():
 
     traj = integrate(lambda x, u: np.array([u]), np.array([0.0]), cfg, inputs=inputs)
     assert np.max(np.abs(traj.states[:, 0] - 0.5 * times**2)) < 1e-10
+
+
+@pytest.mark.parametrize("n_times, n_states", [(3, 2), (2, 3)])
+def test_trajectory_rejects_times_and_states_of_different_lengths(n_times, n_states):
+    with pytest.raises(ValueError, match="^times and states must be aligned$"):
+        Trajectory(times=np.zeros(n_times), states=np.zeros((n_states, 4)))
 
 
 def test_driven_rejects_short_input_series():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import siqr.models
 from siqr import (
     DomainError,
     EpidemicState,
@@ -15,7 +14,6 @@ from siqr import (
     check_assumptions,
     integrate,
     r0,
-    rhs,
 )
 from siqr.models import vector_field
 from test_integrator import _array_rk4
@@ -28,12 +26,12 @@ sizes = st.floats(min_value=0.0, max_value=25000.0, allow_nan=False)
 
 
 def test_rhs_simplified_reference_values():
-    d = rhs(ModelKind.SIMPLIFIED, REF_STATE, REF)
+    d = vector_field(ModelKind.SIMPLIFIED, REF)(REF_STATE)
     assert d == pytest.approx([-3.9994, 2.2994, 0.2, 1.5], rel=1e-12)
 
 
 def test_rhs_full_reference_values():
-    d = rhs(ModelKind.FULL, REF_STATE, REF)
+    d = vector_field(ModelKind.FULL, REF)(REF_STATE)
     assert d[0] == pytest.approx(-0.4 * 99985 * 10 / 99995, rel=1e-12)
     assert d[1] == pytest.approx(0.4 * 99985 * 10 / 99995 - 1.7, rel=1e-12)
     assert d[2] == pytest.approx(0.2, rel=1e-12)
@@ -42,22 +40,22 @@ def test_rhs_full_reference_values():
 
 def test_rhs_conserves_population_at_reference():
     for kind in ModelKind:
-        assert np.asarray(rhs(kind, REF_STATE, REF)).sum() == 0.0
+        assert np.asarray(vector_field(kind, REF)(REF_STATE)).sum() == 0.0
 
 
 def test_rhs_no_infected_leaves_only_quarantine_flow():
     state = EpidemicState(S=5e4, I=0.0, Q=120.0, R=30.0)
     for kind in ModelKind:
-        d = rhs(kind, state, REF)
+        d = vector_field(kind, REF)(state)
         assert d == pytest.approx([0.0, 0.0, -REF.rho * 120.0, REF.rho * 120.0])
 
 
 def test_rhs_full_rejects_q_at_population_size():
     state = EpidemicState(S=0.0, I=1.0, Q=1e5, R=0.0)
     with pytest.raises(DomainError):
-        rhs(ModelKind.FULL, state, REF)
+        vector_field(ModelKind.FULL, REF)(state)
     # the simplified variant has no such singularity
-    rhs(ModelKind.SIMPLIFIED, state, REF)
+    vector_field(ModelKind.SIMPLIFIED, REF)(state)
 
 
 def _written_out(kind, params):
@@ -96,14 +94,9 @@ def test_field_and_rhs_equal_the_written_out_equations_bitwise(kind, as_tuple):
         x = tuple(row.tolist()) if as_tuple else row
         assert type(field(x)) is tuple
         assert _bits(field(x)) == _bits(expected(x))
-        assert _bits(rhs(kind, x, params)) == _bits(expected(x))
 
 
-@pytest.mark.parametrize(
-    "call",
-    [lambda kind: vector_field(kind, REF), lambda kind: rhs(kind, REF_STATE, REF)],
-    ids=["vector_field", "rhs"],
-)
+@pytest.mark.parametrize("call", [lambda kind: vector_field(kind, REF)], ids=["vector_field"])
 def test_field_rejects_a_kind_that_is_no_model_kind(call):
     # `vector_field` binds `full = kind is ModelKind.FULL`, so the string
     # "full" would bind the simplified model.
@@ -120,22 +113,12 @@ def test_model_run_equals_array_rk4_over_the_written_out_equations(kind):
     assert _bits(traj.states) == _bits(_array_rk4(lambda x: np.array(written_out(x)), x0, cfg))
 
 
-def test_built_field_does_not_call_rhs(monkeypatch):
-    def forwarded(*args):
-        raise AssertionError("the built field called models.rhs")
-
-    monkeypatch.setattr(siqr.models, "rhs", forwarded)
-    cfg = IntegratorConfig(dt=0.01, horizon=1.0)
-    for kind in ModelKind:
-        integrate(vector_field(kind, REF), [99985.0, 10.0, 5.0, 0.0], cfg)
-
-
 @given(beta=rates, rho=rates, alpha=rates, S=sizes, I=sizes, Q=sizes, R=sizes)
 def test_rhs_conservation_property(beta, rho, alpha, S, I, Q, R):
     params = ModelParams(beta=beta, rho=rho, alpha=alpha, N=1e5)
     state = EpidemicState(S=S, I=I, Q=Q, R=R)
     for kind in ModelKind:
-        d = rhs(kind, state, params)
+        d = vector_field(kind, params)(state)
         scale = np.abs(d).sum() + 1.0
         assert abs(math.fsum(d)) <= 1e-12 * scale
 
@@ -144,8 +127,8 @@ def test_rhs_conservation_property(beta, rho, alpha, S, I, Q, R):
 def test_full_matches_simplified_when_quarantine_empty(beta, rho, alpha, S, I, R):
     params = ModelParams(beta=beta, rho=rho, alpha=alpha, N=1e5)
     state = EpidemicState(S=S, I=I, Q=0.0, R=R)
-    d_full = rhs(ModelKind.FULL, state, params)
-    d_simple = rhs(ModelKind.SIMPLIFIED, state, params)
+    d_full = vector_field(ModelKind.FULL, params)(state)
+    d_simple = vector_field(ModelKind.SIMPLIFIED, params)(state)
     assert np.array_equal(d_full, d_simple)
 
 
@@ -161,7 +144,7 @@ def test_susceptibles_strictly_decrease_while_infection_active(beta, rho, alpha,
     params = ModelParams(beta=beta, rho=rho, alpha=alpha, N=1e5)
     state = EpidemicState(S=S, I=I, Q=Q, R=0.0)
     for kind in ModelKind:
-        assert rhs(kind, state, params)[0] < 0
+        assert vector_field(kind, params)(state)[0] < 0
 
 
 def test_r0_reference_value():

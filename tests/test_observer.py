@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from siqr import (
     guard_measurements,
     observer_rhs,
     run_observer,
-    sigma,
     verify_pole_placement,
 )
 from siqr.observer import GainSet, _observer_field
@@ -27,31 +28,6 @@ from siqr.scenario import DEFAULT_LAMBDA, DEFAULT_MU, Scenario
 from synthetic import linear_regime_series
 
 REF_GAINS = gains(DEFAULT_LAMBDA, DEFAULT_MU)
-
-
-# --- elementary symmetric polynomials -------------------------------------
-
-
-def test_sigma_reference_lambda():
-    lam = [1.0, 1.5, 2.0, 2.5]
-    assert sigma(lam, 1) == pytest.approx(7.0, rel=1e-14)
-    assert sigma(lam, 2) == pytest.approx(17.75, rel=1e-14)
-    assert sigma(lam, 3) == pytest.approx(19.25, rel=1e-14)
-    assert sigma(lam, 4) == pytest.approx(7.5, rel=1e-14)
-
-
-def test_sigma_out_of_range():
-    with pytest.raises(ValueError):
-        sigma([1.0, 2.0], 3)
-    with pytest.raises(ValueError):
-        sigma([1.0, 2.0], 0)
-
-
-@settings(max_examples=50)
-@given(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=1, max_size=8))
-def test_sigma_boundary_identities(values):
-    assert sigma(values, 1) == pytest.approx(sum(values), rel=1e-12)
-    assert sigma(values, len(values)) == pytest.approx(np.prod(values), rel=1e-12)
 
 
 # --- gains -----------------------------------------------------------------
@@ -258,6 +234,12 @@ def test_char_poly_diagonal():
     assert coeffs == pytest.approx([1.0, 5.0, 6.0], rel=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,)])
+def test_char_poly_rejects_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match=rf"^matrix must be square, got shape {re.escape(str(shape))}$"):
+        char_poly(np.ones(shape))
+
+
 def test_char_poly_rejects_large_matrices():
     with pytest.raises(ValueError, match="unsupported"):
         char_poly(np.eye(5))
@@ -458,6 +440,18 @@ def test_run_observer_rejects_a_record_np_interp_cannot_read(spoil, match):
             OutputSeries(times=times, y1=y1, y2=y2),
             REF_GAINS, 1e5, init, IntegratorConfig(dt=0.1, horizon=2.0),
         )
+
+
+def test_run_observer_checks_coverage_before_it_guards_the_record():
+    # A short record with no positive y1 fails on its coverage, which
+    # the record check tests before the guard looks at the samples.
+    series = linear_series(horizon=1.0, dt=0.1)
+    record = OutputSeries(times=series.times, y1=np.zeros_like(series.y1), y2=series.y2)
+    init = consistent_state(0.7, 5.0, DELTA, RHO, DELTA - RHO, 0.0)
+    with pytest.raises(ValueError) as excinfo:
+        run_observer(record, REF_GAINS, 1e5, init, IntegratorConfig(dt=0.1, horizon=2.0))
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == "input series covers [0, 1] but the integration needs [0, 2]"
 
 
 _KIND_SERIES = linear_series(horizon=1.0, dt=0.1)
