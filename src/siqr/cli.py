@@ -30,7 +30,7 @@ from .errors import (
 )
 from .identify import check_initial_inequalities, recover_full, recover_simplified
 from .integrator import integrate
-from .models import check_assumptions, is_full, vector_field
+from .models import EpidemicState, check_assumptions, is_full, vector_field
 from .observation import add_noise, moving_average, observe, output_jets
 from .observer import guard_measurements, run_observer, verify_pole_placement
 from .scenario import Scenario, parse_scenario
@@ -138,11 +138,7 @@ def estimate_scenario(scenario: Scenario, noisy: bool = True):
 def cmd_simulate(scenario: Scenario) -> Path:
     traj = simulate_truth(scenario)
     path = _out_dir(scenario) / "truth.csv"
-    _write_csv(
-        path,
-        ["t", "S", "I", "Q", "R"],
-        [traj.times] + [traj.states[:, j] for j in range(4)],
-    )
+    _write_csv(path, ["t", *EpidemicState._fields], [traj.times, *traj.states.T])
     return path
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import re
 import textwrap
 from dataclasses import dataclass
 
@@ -96,32 +97,46 @@ def _input_rows(inputs, at, t_block, width):
     return rows.tolist()
 
 
+# The names a `FieldBody` must not declare: those that the code generated
+# by `_rk4_block` and `_compiled_field` assigns or takes as arguments.
+_BLOCK_NAMES = re.compile(r"x|h|c|dt|extend|u_nodes|u_mids|u_node|u_mid|u_next|d?x\d+|k\d+_\d+")
+
+
 class FieldBody:
     """The equations of a vector field x' = f(x, *u), written once as
     Python statements.
 
-    `source` reads state component i as {x<i>} and assigns derivative i
-    to {dx<i>}, for i < dim. Reading each {x<i>} once, into a local
-    name, keeps a stage from computing it twice, and an unread one costs
-    nothing. It reads the inputs by the names in `inputs` (None: the
-    whole input row as {u}), the constants by the names in `constants`
-    and other globals from `env`. Its own names must not be those of
-    the RK4 block: x, h, c, dt, extend, u_nodes, u_mids, u_node, u_mid,
-    u_next, x<i>, dx<i> and k<stage>_<i>.
-    A `Field` binds a body's constants. Bodies compare by identity. (A
-    plain class: a dataclass would add about 1 ms to `import siqr`.)
+    `source` reads state component i by the name state[i], the inputs
+    by the names in `inputs` (None: the whole input row as {u}), the
+    constants by the names in `constants` and other globals from `env`,
+    and assigns derivative i to {dx<i>}. Each state name that occurs in
+    the source as a word is bound once per stage, ahead of it; an
+    unread one costs nothing. A name declared twice, or one of the RK4
+    block's own (x, h, c, dt, extend, u_nodes, u_mids, u_node, u_mid,
+    u_next, x<i>, dx<i> and k<stage>_<i>), would be overwritten there
+    and raises ValueError. A `Field` binds a body's constants. Bodies
+    compare by identity. (A plain class: a dataclass would add about
+    1 ms to `import siqr`.)
     """
 
-    def __init__(self, name: str, dim: int, constants: tuple, inputs, source: str, env: dict):
-        self.name, self.dim, self.constants = name, dim, constants
+    def __init__(self, name: str, state: tuple, constants: tuple, inputs, source: str, env: dict):
+        names = (*state, *constants, *(inputs or ()))
+        clashes = [n for n in names if names.count(n) > 1 or _BLOCK_NAMES.fullmatch(n)]
+        if clashes:
+            raise ValueError(f"{name} field declares {clashes[0]!r} twice or as an RK4 block name")
+        self.name, self.state, self.dim, self.constants = name, state, len(state), constants
         self.inputs, self.source, self.env = inputs, source, env
 
 
-def _fill(source, x, dx, u, indent):
-    """`source` with {x<i>} -> x[i], {dx<i>} -> dx[i] and {u} -> u, indented."""
-    # The braces delimit each name: "{x1}" is no part of "{x10}" or "{dx1}".
-    for i, (x_i, dx_i) in enumerate(zip(x, dx)):
-        source = source.replace(f"{{x{i}}}", x_i).replace(f"{{dx{i}}}", dx_i)
+def _fill(body, head, x, dx, u, indent):
+    """`head`, `name = x[i]` per state name read, and `body`'s source with
+    {dx<i>} -> dx[i] and {u} -> u, indented."""
+    reads = set(re.findall(r"\w+", body.source))
+    bind = "".join(f"{name} = {x_i}\n" for name, x_i in zip(body.state, x) if name in reads)
+    source = head + bind + body.source
+    # The braces delimit each name: "{dx1}" is no part of "{dx10}".
+    for i, dx_i in enumerate(dx):
+        source = source.replace(f"{{dx{i}}}", dx_i)
     return textwrap.indent(source.replace("{u}", u), indent).rstrip("\n")
 
 
@@ -158,7 +173,7 @@ def _compiled_field(body: FieldBody):
         constants="".join(f"{name}, " for name in body.constants),
         inputs="*u" if body.inputs is None else ", ".join(body.inputs),
         x=_tuple_of(x),
-        body=_fill(body.source, x, dx, "u", " " * 4),
+        body=_fill(body, "", x, dx, "u", " " * 4),
         dx=_tuple_of(dx),
     )
     return _exec(source, f"<siqr field {body.name}>", body.env)["field"]
@@ -180,18 +195,19 @@ class Field:
 @functools.cache
 def _called_body(d: int) -> FieldBody:
     """The body of an opaque callable rhs on d components: one call per stage."""
-    x = [f"{{x{i}}}" for i in range(d)]
+    state = tuple(f"s{i}" for i in range(d))
     dx = [f"{{dx{i}}}" for i in range(d)]
-    source = f"{_tuple_of(dx)} = rhs({_tuple_of(x)}, *{{u}})\n"
-    return FieldBody(f"rhs d={d}", d, ("rhs",), None, source, {})
+    source = f"{_tuple_of(dx)} = rhs({_tuple_of(state)}, *{{u}})\n"
+    return FieldBody(f"rhs d={d}", state, ("rhs",), None, source, {})
 
 
 # One RK4 block, written out per state component so that a step does
 # its arithmetic on local names (x0 + h * k1_0, ...), with no per-step
-# loop over the components. Each stage is the field's body with {x<i>}
-# filled in by the stage state, {dx<i>} by the stage slope k<stage>_<i>
-# and its inputs bound to the stage's input row; the body of an opaque
-# callable calls it once per stage. `{x}` stands for the d names x<i>.
+# loop over the components. Each stage binds the field's inputs to the
+# stage's input row and its state names to the stage state, then runs
+# its body with {dx<i>} filled in by the stage slope k<stage>_<i>; the
+# body of an opaque callable calls it once per stage. `{x}` stands for
+# the d names x<i>.
 # The expressions and their order are those of the array form, so a
 # body gives the same bits as numpy RK4 over its callable field. No
 # error handling or storage: `integrate` passes `extend` for the states.
@@ -229,7 +245,7 @@ def _rk4_block(body: FieldBody):
         x = [f"x{i}" if step is None else f"(x{i} + {step} * k{s - 1}_{i})" for i in range(d)]
         dx = [f"k{s}_{i}" for i in range(d)]
         bind = "" if not body.inputs else f"{''.join(f'{u}, ' for u in body.inputs)}= {row}\n"
-        stages.append(_fill(bind + body.source, x, dx, row, " " * 8))
+        stages.append(_fill(body, bind, x, dx, row, " " * 8))
     source = _RK4_TEMPLATE.format(
         constants=", ".join(body.constants),
         x=_tuple_of(f"x{i}" for i in range(d)),
@@ -282,6 +298,8 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
         raise ValueError(
             f"x0 must have the {body.dim} components of the {body.name} field, got shape {x.shape}"
         )
+    if inputs is None and body.inputs:
+        raise ValueError(f"inputs must be set for the {body.name} field's {', '.join(body.inputs)}")
     width = None if body.inputs is None else len(body.inputs)
     rk4_block = _rk4_block(body)
     from array import array  # a shared library: loaded at the first run, not at import

@@ -83,13 +83,10 @@ class EpidemicState(NamedTuple):
 # stages.
 _SIQR = FieldBody(
     name="model",
-    dim=4,
+    state=EpidemicState._fields,
     constants=("beta", "rho", "alpha", "N", "full"),
     inputs=(),
     source="""\
-S = {x0}
-I = {x1}
-Q = {x2}
 if full:
     pool = N - Q
     if pool <= 0:

@@ -443,6 +443,17 @@ def test_main_check_exits_zero(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_check_at_underflowing_flow_poles(tmp_path, capsys):
+    # m3 = mu1*mu2*mu3 underflows to 0 in both polynomials: the report
+    # passes the placement it prints no error for, and warns of nothing.
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"poles.mu = 1e-300, 1e-300, 1e-300\nout.dir = {tmp_path / 'out'}\n")
+    assert main(["check", "--config", str(config)]) == 0
+    out, err = capsys.readouterr()
+    assert "poles.m2_ok = true\npoles.max_coeff_error = 0.0\n" in out
+    assert err == ""
+
+
 def test_main_identify_needs_t(tmp_path, capsys):
     assert main(["identify"]) == 2
     assert "config error" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import dataclasses
+import linecache
+import re
 import subprocess
 import sys
 import traceback
@@ -11,21 +13,24 @@ import pytest
 from siqr import (
     DivergenceError,
     DomainError,
+    EpidemicState,
     IntegratorConfig,
     ModelKind,
     ModelParams,
+    ObserverState,
     OutputSeries,
     Scenario,
     Trajectory,
+    gains,
     guard_measurements,
     integrate,
     observer_rhs,
     run_observer,
 )
 from siqr.cli import estimate_scenario, make_measurements
-from siqr.integrator import _BLOCK_ROWS, _compiled_field
-from siqr.models import vector_field
-from siqr.observer import _observer_field
+from siqr.integrator import _BLOCK_ROWS, Field, FieldBody, _compiled_field, _rk4_block
+from siqr.models import _SIQR, vector_field
+from siqr.observer import _OBSERVER, _observer_field
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
 
@@ -401,3 +406,60 @@ def test_inlined_field_equals_called_field_bitwise(case):
     assert inlined_calls == 0
     assert called_calls == 4 * cfg.n_steps
     assert np.array_equal(inlined.states, called.states)
+
+
+def _decay_body(state=("v",), constants=("k",)):
+    """x' = -k * x on one component, with its state and constant named."""
+    source = f"{{dx0}} = -{constants[0]} * {state[0]}\n"
+    return FieldBody("decay", state, constants, (), source, {})
+
+
+def test_field_body_reads_its_state_by_name():
+    traj = integrate(Field(_decay_body(), (2.0,)), [1.0], IntegratorConfig(dt=0.1, horizon=1.0))
+    assert traj.states[-1, 0] == pytest.approx(np.exp(-2.0), rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "state, constants, clash",
+    [(("v",), ("h",), "h"), (("v",), ("c",), "c"), (("x0",), ("k",), "x0"),
+     (("v",), ("v",), "v")],
+    ids=["constant-h", "constant-c", "state-x0", "state-also-a-constant"],
+)
+def test_field_body_refuses_a_name_the_rk4_block_overwrites(state, constants, clash):
+    # The RK4 block assigns h (the half step), c (dt / 6) and x<i> (the
+    # state) itself, and binds each state name at every stage: a body
+    # declaring one of them would read the block's value instead of its
+    # own (x' = -2x to t = 1 gave 0.951 with a constant h, not e^-2).
+    with pytest.raises(ValueError, match=rf"^decay field declares '{clash}' twice or as an RK4"):
+        _decay_body(state, constants)
+
+
+def test_built_field_without_inputs_names_inputs():
+    field = _observer_field(gains((1.0, 1.5, 2.0, 2.5), (1.0, 1.0, 1.0)), 1e5, ModelKind.FULL)
+    with pytest.raises(ValueError, match=r"^inputs must be set for the observer field's "
+                                         r"y1, y2, z1, z2$"):
+        integrate(field, [0.0] * 7, IntegratorConfig(0.1, 1.0))
+
+
+@pytest.mark.parametrize(
+    "body, fields, bound",
+    [
+        (_SIQR, EpidemicState._fields, ("S", "I", "Q")),
+        (_OBSERVER, ObserverState._fields, ObserverState._fields),
+    ],
+    ids=["model", "observer"],
+)
+def test_bodies_bind_the_state_names_they_read(body, fields, bound):
+    # The model never reads R, so no stage binds it; the observer reads
+    # all seven of its names. The RK4 block binds each at its four
+    # stages, the callable form once.
+    assert body.state == fields
+    assert body.dim == len(body.state)
+    _rk4_block(body)
+    _compiled_field(body)
+    for form, stages in (("rk4", 4), ("field", 1)):
+        source = "".join(linecache.cache[f"<siqr {form} {body.name}>"][2])
+        for name in fields:
+            count = len(re.findall(rf"^ *{name} = ", source, re.MULTILINE))
+            assert count == (stages if name in bound else 0), name
+        assert "{x" not in source

@@ -22,7 +22,7 @@ from siqr import (
     run_observer,
     verify_pole_placement,
 )
-from siqr.observer import GainSet, _observer_field
+from siqr.observer import GainSet, _coeff_error, _observer_field
 from siqr.scenario import DEFAULT_LAMBDA, DEFAULT_MU, Scenario
 
 from synthetic import linear_regime_series
@@ -259,6 +259,28 @@ def test_verify_pole_placement_reference():
 def test_verify_pole_placement_property(lam, mu):
     report = verify_pole_placement(lam, mu, 1e5)
     assert report["m1_ok"] and report["m2_ok"]
+
+
+def test_verify_pole_placement_at_underflowing_flow_poles():
+    # At mu = 1e-300 the constant coefficient mu1*mu2*mu3 underflows to 0
+    # both in the target and in char_poly(M2). Equal coefficients count no
+    # error, with no 0/0 (a RuntimeWarning, an error under pytest).
+    report = verify_pole_placement(DEFAULT_LAMBDA, (1e-300,) * 3, 1e5)
+    assert report["m1_ok"] and report["m2_ok"]
+    assert report["max_coeff_error"] < 1e-12
+
+
+def test_verify_pole_placement_reports_a_nan_error():
+    # At mu = 1e300 the coefficients overflow: the NaN error fails m2_ok
+    # and reaches max_coeff_error, which the builtin max would drop.
+    report = verify_pole_placement(DEFAULT_LAMBDA, (1e300,) * 3, 1e5)
+    assert report["m1_ok"] and not report["m2_ok"]
+    assert np.isnan(report["max_coeff_error"])
+
+
+def test_coefficient_error_against_a_zero_target_is_infinite():
+    assert _coeff_error(np.array([1.0, 1e-30]), np.array([1.0, 0.0])) == np.inf
+    assert _coeff_error(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
 
 
 def test_wrong_gain_is_detected():

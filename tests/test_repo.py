@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import siqr
+from siqr.scenario import _KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +71,14 @@ def test_package_exports_each_modules_all_and_nothing_else():
             assert getattr(siqr, name) is value, name
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, name
+
+
+def test_readme_scenario_key_table_lists_every_key():
+    # The README's table of scenario keys is the file format's reference:
+    # a key added to the parser and not to the table, or left in the table
+    # after it is gone, fails here.
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| key | default | accepted | meaning |", 1)[1].split("\n\n", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)
+    assert sorted(keys) == sorted(_KEYS)
+    assert len(keys) == len(set(keys))
