@@ -11,7 +11,7 @@ call. A field's equations are therefore written once, as a `FieldBody`,
 and a `Field` binds the body's constants for a run. `integrate` inlines
 a `Field`'s body in an RK4 block generated for it, which holds only the
 arithmetic: `integrate` stores the states and adds the failing step's
-time to an error. Other callables are called once per stage.
+time to an error. A `Field` is the only field `integrate` takes.
 """
 from __future__ import annotations
 
@@ -85,20 +85,20 @@ class Trajectory:
 
 
 def _input_rows(inputs, at, t_block, width):
-    """inputs(at) as a list of rows, checked to hold one row per time
-    and, unless width is None, width values per row."""
+    """inputs(at) as a list of rows, checked to hold one row of width
+    values per time."""
     rows = np.asarray(inputs(at))
-    if rows.ndim != 2 or rows.shape[0] != at.size or width not in (None, rows.shape[1]):
-        per_row = "" if width is None else f" of {width} values"
+    if rows.shape != (at.size, width):
         raise ValueError(
-            f"inputs must return one row per time{per_row}, got shape {rows.shape} "
+            f"inputs must return one row per time of {width} values, got shape {rows.shape} "
             f"for {at.size} times (block from t={t_block:.6g})"
         )
     return rows.tolist()
 
 
-# The names a `FieldBody` must not declare: those that the code generated
-# by `_rk4_block` and `_compiled_field` assigns or takes as arguments.
+# The names a `FieldBody` must neither declare nor assign: those that the
+# code generated by `_rk4_block` and `_compiled_field` assigns or takes as
+# arguments.
 _BLOCK_NAMES = re.compile(r"x|h|c|dt|extend|u_nodes|u_mids|u_node|u_mid|u_next|d?x\d+|k\d+_\d+")
 
 
@@ -107,37 +107,45 @@ class FieldBody:
     Python statements.
 
     `source` reads state component i by the name state[i], the inputs
-    by the names in `inputs` (None: the whole input row as {u}), the
-    constants by the names in `constants` and other globals from `env`,
-    and assigns derivative i to {dx<i>}. Each state name that occurs in
-    the source as a word is bound once per stage, ahead of it; an
-    unread one costs nothing. A name declared twice, or one of the RK4
-    block's own (x, h, c, dt, extend, u_nodes, u_mids, u_node, u_mid,
-    u_next, x<i>, dx<i> and k<stage>_<i>), would be overwritten there
-    and raises ValueError. A `Field` binds a body's constants. Bodies
-    compare by identity. (A plain class: a dataclass would add about
-    1 ms to `import siqr`.)
+    by the names in the tuple `inputs`, the constants by the names in
+    `constants` and other globals from `env`, and assigns derivative i
+    to {dx<i>}. Each state name that occurs in the source as a word is
+    bound once per stage, ahead of it; an unread one costs nothing. A
+    name declared twice or as one of the RK4 block's own (x, h, c, dt,
+    extend, u_nodes, u_mids, u_node, u_mid, u_next, x<i>, dx<i> and
+    k<stage>_<i>), and a constant or block name that the source assigns,
+    would clash in the block and raise ValueError. A `Field` binds a
+    body's constants. Bodies compare by identity. (A plain class: a
+    dataclass would add about 1 ms to `import siqr`.)
     """
 
     def __init__(self, name: str, state: tuple, constants: tuple, inputs, source: str, env: dict):
-        names = (*state, *constants, *(inputs or ()))
+        names = (*state, *constants, *inputs)
         clashes = [n for n in names if names.count(n) > 1 or _BLOCK_NAMES.fullmatch(n)]
         if clashes:
             raise ValueError(f"{name} field declares {clashes[0]!r} twice or as an RK4 block name")
+        # The names that the source assigns are its locals when it runs as
+        # a function body.
+        probe = {}
+        exec("def f():\n pass\n" + textwrap.indent(re.sub(r"\{dx\d+\}", "_", source), " "), probe)
+        assigned = probe["f"].__code__.co_varnames
+        clashes = [n for n in assigned if n in constants or _BLOCK_NAMES.fullmatch(n)]
+        if clashes:
+            raise ValueError(f"{name} field assigns {clashes[0]!r}, a constant or RK4 block name")
         self.name, self.state, self.dim, self.constants = name, state, len(state), constants
         self.inputs, self.source, self.env = inputs, source, env
 
 
-def _fill(body, head, x, dx, u, indent):
+def _fill(body, head, x, dx, indent):
     """`head`, `name = x[i]` per state name read, and `body`'s source with
-    {dx<i>} -> dx[i] and {u} -> u, indented."""
+    {dx<i>} -> dx[i], indented."""
     reads = set(re.findall(r"\w+", body.source))
     bind = "".join(f"{name} = {x_i}\n" for name, x_i in zip(body.state, x) if name in reads)
     source = head + bind + body.source
     # The braces delimit each name: "{dx1}" is no part of "{dx10}".
     for i, dx_i in enumerate(dx):
         source = source.replace(f"{{dx{i}}}", dx_i)
-    return textwrap.indent(source.replace("{u}", u), indent).rstrip("\n")
+    return textwrap.indent(source, indent).rstrip("\n")
 
 
 def _tuple_of(items):
@@ -171,9 +179,9 @@ def _compiled_field(body: FieldBody):
     dx = [f"dx{i}" for i in range(body.dim)]
     source = _FIELD_TEMPLATE.format(
         constants="".join(f"{name}, " for name in body.constants),
-        inputs="*u" if body.inputs is None else ", ".join(body.inputs),
+        inputs=", ".join(body.inputs),
         x=_tuple_of(x),
-        body=_fill(body, "", x, dx, "u", " " * 4),
+        body=_fill(body, "", x, dx, " " * 4),
         dx=_tuple_of(dx),
     )
     return _exec(source, f"<siqr field {body.name}>", body.env)["field"]
@@ -182,32 +190,29 @@ def _compiled_field(body: FieldBody):
 class Field:
     """A `FieldBody` with its constants bound. `integrate` inlines the
     body and does not call the field. Called, field(x, *inputs) returns a
-    tuple of dim numbers, x any sequence of dim numbers; the body's
-    callable form is compiled at the first call of a field of that body."""
+    tuple of dim numbers, x any sequence of dim numbers and one input per
+    name in the body's inputs (ValueError otherwise); the body's callable
+    form is compiled at the first call of a field of that body."""
 
     def __init__(self, body: FieldBody, constants: tuple):
         self.body, self.constants = body, constants
 
     def __call__(self, x, *inputs):
-        return _compiled_field(self.body)(*self.constants, x, *inputs)
-
-
-@functools.cache
-def _called_body(d: int) -> FieldBody:
-    """The body of an opaque callable rhs on d components: one call per stage."""
-    state = tuple(f"s{i}" for i in range(d))
-    dx = [f"{{dx{i}}}" for i in range(d)]
-    source = f"{_tuple_of(dx)} = rhs({_tuple_of(state)}, *{{u}})\n"
-    return FieldBody(f"rhs d={d}", state, ("rhs",), None, source, {})
+        body = self.body
+        if len(x) != body.dim or len(inputs) != len(body.inputs):
+            raise ValueError(
+                f"{body.name} field takes {body.dim} state components and "
+                f"{len(body.inputs)} inputs, got {len(x)} and {len(inputs)}"
+            )
+        return _compiled_field(body)(*self.constants, x, *inputs)
 
 
 # One RK4 block, written out per state component so that a step does
 # its arithmetic on local names (x0 + h * k1_0, ...), with no per-step
 # loop over the components. Each stage binds the field's inputs to the
 # stage's input row and its state names to the stage state, then runs
-# its body with {dx<i>} filled in by the stage slope k<stage>_<i>; the
-# body of an opaque callable calls it once per stage. `{x}` stands for
-# the d names x<i>.
+# its body with {dx<i>} filled in by the stage slope k<stage>_<i>.
+# `{x}` stands for the d names x<i>.
 # The expressions and their order are those of the array form, so a
 # body gives the same bits as numpy RK4 over its callable field. No
 # error handling or storage: `integrate` passes `extend` for the states.
@@ -244,8 +249,8 @@ def _rk4_block(body: FieldBody):
     ):
         x = [f"x{i}" if step is None else f"(x{i} + {step} * k{s - 1}_{i})" for i in range(d)]
         dx = [f"k{s}_{i}" for i in range(d)]
-        bind = "" if not body.inputs else f"{''.join(f'{u}, ' for u in body.inputs)}= {row}\n"
-        stages.append(_fill(body, bind, x, dx, row, " " * 8))
+        bind = "" if not body.inputs else f"{''.join(f'{name}, ' for name in body.inputs)}= {row}\n"
+        stages.append(_fill(body, bind, x, dx, " " * 8))
     source = _RK4_TEMPLATE.format(
         constants=", ".join(body.constants),
         x=_tuple_of(f"x{i}" for i in range(d)),
@@ -259,48 +264,42 @@ def _rk4_block(body: FieldBody):
     return _exec(source, f"<siqr rk4 {body.name}>", body.env)["rk4_block"]
 
 
-def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
-    """Classical RK4 for x' = rhs(x, *u).
+def integrate(rhs: Field, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
+    """Classical RK4 for x' = rhs(x, *u), rhs a `Field` (TypeError
+    otherwise), whose body is inlined at the four stages of the block.
 
+    x0 is a 1-D sequence of the body's d numbers (ValueError otherwise).
     Without `inputs` the system is autonomous and u is empty. Otherwise
     `inputs` is a function of a 1-D array of stage times that returns
-    one row of input values per time, and u is the row at each RK4
-    stage time. It is called twice per block of up to 1024 steps, at
-    the block's step nodes and at its half steps, so an interpolation or
-    a transform of the inputs runs once per block on arrays (ValueError
-    if its result has another shape). x0 is a 1-D sequence of d numbers
-    (ValueError otherwise).
+    one row per time of one value per input of the body, and u is the
+    row at each RK4 stage time. It is called twice per block of up to
+    1024 steps, at the block's step nodes and at its half steps, so an
+    interpolation or a transform of the inputs runs once per block on
+    arrays (ValueError if its result has another shape, or if it is
+    missing for a body that reads inputs).
 
-    A `Field` is not called: its body is inlined at the four stages of
-    the block, and x0 must have the body's d components and each input
-    row its number of inputs. Any other rhs goes into a `Field` whose
-    body calls it once per stage; it receives x as a tuple of d Python
-    floats and the entries of u as Python floats, and returns d numbers
-    (a tuple is cheapest); x supports no array arithmetic.
-
-    An exception raised in a step (by the field, by unpacking a result
-    without d entries, by storing a value that is no real number) is
-    re-raised from itself as its type with the step's time added to the
-    message, or unchanged if its type takes more than a message. A state
-    that stops being finite raises DivergenceError, with the first such
-    step's time and the index of its first non-finite component.
+    An exception raised in a step (by the body, or by storing a value
+    that is no real number) is re-raised from itself as its type with
+    the step's time added to the message, or unchanged if its type takes
+    more than a message. A state that stops being finite raises
+    DivergenceError, with the first such step's time and the index of
+    its first non-finite component.
     """
     n = cfg.n_steps
     dt = cfg.dt
     times = cfg.times
+    if not isinstance(rhs, Field):
+        raise TypeError(f"rhs must be a Field, got {type(rhs).__name__}")
+    body = rhs.body
+    d = body.dim
     x = np.asarray(x0, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"x0 must be a 1-D sequence of state components, got shape {x.shape}")
-    d = x.size
-    field = rhs if isinstance(rhs, Field) else Field(_called_body(d), (rhs,))
-    body = field.body
-    if body.dim != d:
+    if x.shape != (d,):
         raise ValueError(
-            f"x0 must have the {body.dim} components of the {body.name} field, got shape {x.shape}"
+            f"x0 must have the {d} components of the {body.name} field, got shape {x.shape}"
         )
     if inputs is None and body.inputs:
         raise ValueError(f"inputs must be set for the {body.name} field's {', '.join(body.inputs)}")
-    width = None if body.inputs is None else len(body.inputs)
+    width = len(body.inputs)
     rk4_block = _rk4_block(body)
     from array import array  # a shared library: loaded at the first run, not at import
 
@@ -309,7 +308,7 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     x = x.tolist()
     empty = [()] * (_BLOCK_ROWS + 1)
     # Divergence shows up as inf/NaN states and is reported below; the
-    # intermediate overflow warnings of an rhs that uses numpy carry no
+    # intermediate overflow warnings of a body that calls numpy carry no
     # extra information.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _BLOCK_ROWS):
@@ -322,7 +321,7 @@ def integrate(rhs, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
                 u_mids = _input_rows(inputs, nodes[:-1] + 0.5 * dt, nodes[0], width)
             rows = array("d")
             try:
-                x = rk4_block(x, u_nodes, u_mids, dt, rows.extend, *field.constants)
+                x = rk4_block(x, u_nodes, u_mids, dt, rows.extend, *rhs.constants)
             except Exception as exc:  # noqa: BLE001 - context is the point
                 # The step after the rows written failed (a field of no
                 # components writes none: the block's start).

@@ -35,9 +35,21 @@ from siqr.observer import _OBSERVER, _observer_field
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
 
 
+def _body_field(source, dim=1, inputs=(), env=None):
+    """A `Field` of no constants whose body `source` reads state component
+    i as s<i> and its inputs by the names in `inputs`."""
+    state = tuple(f"s{i}" for i in range(dim))
+    return Field(FieldBody("test", state, (), inputs, source, env or {}), ())
+
+
+def _driven():
+    """x' = y, y the one input."""
+    return _body_field("{dx0} = y\n", inputs=("y",))
+
+
 def test_constant_field_gives_constant_trajectory():
     cfg = IntegratorConfig(dt=0.1, horizon=2.0)
-    traj = integrate(lambda x: np.zeros_like(x), np.array([3.0, -1.0]), cfg)
+    traj = integrate(_body_field("{dx0} = 0.0\n{dx1} = 0.0\n", 2), np.array([3.0, -1.0]), cfg)
     assert np.all(traj.states == [3.0, -1.0])
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(2.0)
@@ -45,7 +57,7 @@ def test_constant_field_gives_constant_trajectory():
 
 def test_exponential_decay_accuracy():
     cfg = IntegratorConfig(dt=0.01, horizon=1.0)
-    traj = integrate(lambda x: [-v for v in x], np.array([1.0]), cfg)
+    traj = integrate(_body_field("{dx0} = -s0\n"), np.array([1.0]), cfg)
     assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-8
 
 
@@ -70,7 +82,7 @@ def test_driven_constant_input_is_exact():
     def inputs(t):
         return np.full((t.size, 1), 2.5)
 
-    traj = integrate(lambda x, u: np.array([u]), np.array([1.0]), cfg, inputs=inputs)
+    traj = integrate(_driven(), np.array([1.0]), cfg, inputs=inputs)
     assert traj.states[-1, 0] == pytest.approx(1.0 + 2.5 * 1.0, rel=1e-12)
 
 
@@ -81,7 +93,7 @@ def test_driven_ramp_input_integrates_exactly():
     def inputs(t):
         return t.reshape(-1, 1)
 
-    traj = integrate(lambda x, u: np.array([u]), np.array([0.0]), cfg, inputs=inputs)
+    traj = integrate(_driven(), np.array([0.0]), cfg, inputs=inputs)
     assert np.max(np.abs(traj.states[:, 0] - 0.5 * times**2)) < 1e-10
 
 
@@ -119,23 +131,22 @@ def test_inputs_result_of_wrong_shape_names_inputs(rows):
     # error names `inputs` and the block instead of blaming rhs.
     cfg = IntegratorConfig(dt=0.1, horizon=1.0)
     with pytest.raises(ValueError, match=r"^inputs must return one row per time.*block from t=0\)"):
-        integrate(lambda x, u: (u,), [0.0], cfg, inputs=rows)
+        integrate(_driven(), [0.0], cfg, inputs=rows)
 
 
-@pytest.mark.parametrize("result", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
-def test_rhs_result_of_wrong_length_raises(result):
-    # One value per state component: a long result is not cut to the
-    # state's size, nor a short one broadcast over it.
-    with pytest.raises(ValueError, match=r"\(rhs evaluation at t=0\)"):
-        integrate(lambda x: result, [0.0, 0.0], IntegratorConfig(0.1, 1.0))
+def test_rhs_that_is_no_field_raises_type_error():
+    # A callable is no `Field`: its equations are not there to inline.
+    with pytest.raises(TypeError, match=r"^rhs must be a Field, got function$"):
+        integrate(lambda x: x, [0.0], IntegratorConfig(0.1, 1.0))
 
 
 def test_error_whose_type_needs_more_than_a_message_keeps_its_type():
     # CalledProcessError cannot be built from one message, so it is
     # re-raised as it is rather than as the TypeError of its constructor.
-    def field(x):
+    def fail(v):
         raise subprocess.CalledProcessError(1, "cmd")
 
+    field = _body_field("{dx0} = fail(s0)\n", env={"fail": fail})
     with pytest.raises(subprocess.CalledProcessError) as excinfo:
         integrate(field, [0.0], IntegratorConfig(0.1, 1.0))
     assert (excinfo.value.returncode, excinfo.value.cmd) == (1, "cmd")
@@ -144,9 +155,10 @@ def test_error_whose_type_needs_more_than_a_message_keeps_its_type():
 def test_error_while_a_step_is_written_carries_its_time():
     # The slope turns complex at the last stage of the step from t = 0.2,
     # at x = 0.2 + 0.1: the step's state cannot be stored as floats.
-    def field(x):
-        return (1j,) if x[0] >= 0.3 else (1.0,)
+    def slope(v):
+        return 1j if v >= 0.3 else 1.0
 
+    field = _body_field("{dx0} = slope(s0)\n", env={"slope": slope})
     with pytest.raises(TypeError, match=r"\(rhs evaluation at t=0\.2\)$"):
         integrate(field, [0.0], IntegratorConfig(0.1, 1.0))
 
@@ -154,8 +166,10 @@ def test_error_while_a_step_is_written_carries_its_time():
 @pytest.mark.parametrize(
     "field, x0, shape",
     [
-        (lambda x: x, np.zeros((1, 4)), r"\(1, 4\)"),  # a row such as traj.states[-1:]
-        (lambda x: x, 5.0, r"\(\)"),
+        # A row such as traj.states[-1:].
+        (_body_field("".join(f"{{dx{i}}} = s{i}\n" for i in range(4)), 4), np.zeros((1, 4)),
+         r"\(1, 4\)"),
+        (_body_field("{dx0} = s0\n"), 5.0, r"\(\)"),
         (vector_field(ModelKind.FULL, REF), [1.0, 2.0, 3.0], r"\(3,\)"),
     ],
     ids=["row", "scalar", "model-field-of-3"],
@@ -202,9 +216,10 @@ def test_overflow_raises_divergence_at_first_non_finite_step():
     # x' = 1 while the stage state is below 3, then a value that
     # overflows: the step from t = 2.5 evaluates its last stage at x = 3,
     # so t = 3 is the first step whose state is not finite.
-    def field(x):
-        return np.where(np.asarray(x) < 3.0, 0.1, 1e308) * 10.0
+    def slope(v):
+        return np.where(v < 3.0, 0.1, 1e308) * 10.0
 
+    field = _body_field("{dx0} = slope(s0)\n", env={"slope": slope})
     cfg = IntegratorConfig(dt=0.5, horizon=5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the loop keeps overflow quiet
@@ -217,18 +232,15 @@ def test_overflow_raises_divergence_at_first_non_finite_step():
 
 
 def _array_rk4(field, x0, cfg, inputs=None):
-    """RK4 on numpy arrays, one array per stage: the reference that
-    `integrate`'s loop over Python floats must equal bitwise."""
+    """RK4 on numpy arrays, one array per stage, with `inputs` taken as
+    `integrate` takes them: the reference that `integrate`'s loop over
+    Python floats must equal bitwise."""
     n, dt = cfg.n_steps, cfg.dt
     if inputs is None:
         u_nodes = u_mids = [()] * (n + 1)
     else:
-        times, values = inputs
-
-        def rows(at):
-            return list(map(tuple, np.column_stack([np.interp(at, times, v) for v in values.T])))
-
-        u_nodes, u_mids = rows(cfg.times), rows(cfg.times[:-1] + 0.5 * dt)
+        u_nodes = np.asarray(inputs(cfg.times)).tolist()
+        u_mids = np.asarray(inputs(cfg.times[:-1] + 0.5 * dt)).tolist()
     x = np.asarray(x0, dtype=float)
     states = np.empty((n + 1, x.size))
     states[0] = x
@@ -247,36 +259,41 @@ def _coupled_polynomial(x):
     return tuple(x[(i + 1) % d] * x[i - 1] - x[i] ** 3 for i in range(d))
 
 
+def _polynomial_field(d):
+    """_coupled_polynomial as a body on d components."""
+    source = "".join(f"{{dx{i}}} = s{(i + 1) % d} * s{(i - 1) % d} - s{i} ** 3\n" for i in range(d))
+    return _body_field(source, d)
+
+
 _REF_X0 = [99985.0, 10.0, 5.0, 0.0]
+_FULL, _SIMPLIFIED = (vector_field(kind, REF) for kind in (ModelKind.FULL, ModelKind.SIMPLIFIED))
 
 
 @pytest.mark.parametrize(
-    "field, x0, dt, horizon",
+    "field, reference, x0, dt, horizon",
     [
-        pytest.param(vector_field(ModelKind.FULL, REF), _REF_X0, 0.01, 10.0,
-                     id="ModelKind.FULL-0.01-10.0"),
-        pytest.param(vector_field(ModelKind.SIMPLIFIED, REF), _REF_X0, 0.01, 10.0,
+        pytest.param(_FULL, _FULL, _REF_X0, 0.01, 10.0, id="ModelKind.FULL-0.01-10.0"),
+        pytest.param(_SIMPLIFIED, _SIMPLIFIED, _REF_X0, 0.01, 10.0,
                      id="ModelKind.SIMPLIFIED-0.01-10.0"),
         # 2,500 steps: the last block is partial.
-        pytest.param(vector_field(ModelKind.FULL, REF), _REF_X0, 0.004, 10.0,
-                     id="ModelKind.FULL-0.004-10.0"),
+        pytest.param(_FULL, _FULL, _REF_X0, 0.004, 10.0, id="ModelKind.FULL-0.004-10.0"),
         # Exactly one block.
-        pytest.param(vector_field(ModelKind.SIMPLIFIED, REF), _REF_X0, 0.01, _BLOCK_ROWS * 0.01,
+        pytest.param(_SIMPLIFIED, _SIMPLIFIED, _REF_X0, 0.01, _BLOCK_ROWS * 0.01,
                      id="ModelKind.SIMPLIFIED-0.01-10.24"),
         # Each state size has its own generated stepper; 2,500 steps.
         *(
-            pytest.param(_coupled_polynomial, [0.2 + 0.1 * i for i in range(d)], 0.004, 10.0,
-                         id=f"polynomial-d{d}")
+            pytest.param(_polynomial_field(d), _coupled_polynomial,
+                         [0.2 + 0.1 * i for i in range(d)], 0.004, 10.0, id=f"polynomial-d{d}")
             for d in (0, 1, 2, 3, 5, 11)
         ),
     ],
 )
-def test_model_run_equals_array_rk4_bitwise(field, x0, dt, horizon):
+def test_model_run_equals_array_rk4_bitwise(field, reference, x0, dt, horizon):
     cfg = IntegratorConfig(dt=dt, horizon=horizon)
     traj = integrate(field, x0, cfg)
 
     def array_field(x):
-        return np.array(field(x.tolist()))
+        return np.array(reference(x.tolist()))
 
     assert np.array_equal(traj.states, _array_rk4(array_field, x0, cfg))
 
@@ -296,7 +313,9 @@ def test_observer_run_equals_array_rk4_bitwise(kind):
     def array_field(x, y1, y2):
         return observer_rhs(x, y1, y2, K, sc.N, kind)
 
-    inputs = (guarded.times, np.column_stack([guarded.y1, guarded.y2]))
+    def inputs(at):
+        return np.column_stack([np.interp(at, guarded.times, y) for y in (guarded.y1, guarded.y2)])
+
     expected = _array_rk4(array_field, init, cfg, inputs)
     assert np.array_equal(run.trajectory.states, expected)
 
@@ -307,7 +326,8 @@ def test_steps_are_written_in_blocks_not_kept_as_rows():
     cfg = IntegratorConfig(dt=0.001, horizon=20.0)
     tracemalloc.start()
     try:
-        traj = integrate(lambda x: [-0.1 * v for v in x], [4.0, 3.0, 2.0, 1.0], cfg)
+        field = _body_field("".join(f"{{dx{i}}} = -0.1 * s{i}\n" for i in range(4)), 4)
+        traj = integrate(field, [4.0, 3.0, 2.0, 1.0], cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -391,8 +411,8 @@ def _observer_case(kind, noisy):
 )
 def test_inlined_field_equals_called_field_bitwise(case):
     # 1,200 steps, over two blocks. `integrate` inlines a `Field`'s
-    # equations and never calls it; called through a lambda, the same
-    # field runs its compiled callable form once per stage and must give
+    # equations and never calls it; the array RK4 calls the same field,
+    # which runs its compiled callable form once per stage, and must give
     # the same bits.
     field, x0, inputs = case()
     cfg = IntegratorConfig(dt=0.01, horizon=12.0)
@@ -401,11 +421,11 @@ def test_inlined_field_equals_called_field_bitwise(case):
     assert code.co_filename == f"<siqr field {field.body.name}>"
     inlined, inlined_calls = _calls_of(code, lambda: integrate(field, x0, cfg, inputs))
     called, called_calls = _calls_of(
-        code, lambda: integrate(lambda x, *u: field(x, *u), x0, cfg, inputs)
+        code, lambda: _array_rk4(lambda x, *u: np.array(field(x.tolist(), *u)), x0, cfg, inputs)
     )
     assert inlined_calls == 0
     assert called_calls == 4 * cfg.n_steps
-    assert np.array_equal(inlined.states, called.states)
+    assert np.array_equal(inlined.states, called)
 
 
 def _decay_body(state=("v",), constants=("k",)):
@@ -432,6 +452,38 @@ def test_field_body_refuses_a_name_the_rk4_block_overwrites(state, constants, cl
     # own (x' = -2x to t = 1 gave 0.951 with a constant h, not e^-2).
     with pytest.raises(ValueError, match=rf"^decay field declares '{clash}' twice or as an RK4"):
         _decay_body(state, constants)
+
+
+@pytest.mark.parametrize(
+    "source, clash",
+    [("c = k * v\n{dx0} = -c\n", "c"), ("k = 2 * k\n{dx0} = -k * v\n", "k"),
+     ("{dx0} = -k * v\nx0 += 1.0\n", "x0")],
+    ids=["block-c", "constant-k", "block-x0-augmented"],
+)
+def test_field_body_refuses_a_source_that_assigns_a_block_name_or_a_constant(source, clash):
+    # A source runs inside the RK4 block, so what it assigns stays bound
+    # for the stages after it: with k = 2 and dt = 0.1, `c = k * v` would
+    # replace the block's dt / 6 and the run would diverge at t = 0.8
+    # instead of reaching e^-2, and `k = 2 * k` would double k at every
+    # stage.
+    with pytest.raises(ValueError, match=rf"^decay field assigns '{clash}', a constant or RK4"):
+        FieldBody("decay", ("v",), ("k",), (), source, {})
+
+
+@pytest.mark.parametrize(
+    "field, args, message",
+    [
+        (_FULL, ([1.0, 2.0, 3.0],),
+         "model field takes 4 state components and 0 inputs, got 3 and 0"),
+        (_observer_field(gains((1.0, 1.5, 2.0, 2.5), (1.0, 1.0, 1.0)), 1e5, ModelKind.FULL),
+         ([0.0] * 7, 1.0, 2.0),
+         "observer field takes 7 state components and 4 inputs, got 7 and 2"),
+    ],
+    ids=["model-x-of-3", "observer-two-inputs"],
+)
+def test_called_field_checks_its_state_and_inputs(field, args, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        field(*args)
 
 
 def test_built_field_without_inputs_names_inputs():
@@ -463,3 +515,4 @@ def test_bodies_bind_the_state_names_they_read(body, fields, bound):
             count = len(re.findall(rf"^ *{name} = ", source, re.MULTILINE))
             assert count == (stages if name in bound else 0), name
         assert "{x" not in source
+        assert "{dx" not in source and "{u}" not in source
