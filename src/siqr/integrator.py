@@ -7,11 +7,11 @@ smooth and slow over a ten-day horizon, so a fixed step keeps the runs
 deterministic and trivially reproducible. A step works on one Python
 float per state component: on states of 4 and 7 components numpy's
 per-call overhead costs more than the arithmetic, and so does a Python
-call. A field's equations are therefore written once, as a `FieldBody`,
-and a `Field` binds the body's constants for a run. `integrate` inlines
-a `Field`'s body in an RK4 block generated for it, which holds only the
-arithmetic: `integrate` stores the states and adds the failing step's
-time to an error. A `Field` is the only field `integrate` takes.
+call. A field's equations are therefore written once, as a `FieldBody`
+compiled to a function, and a `Field` binds its constants. `integrate`
+inlines a `Field` in an RK4 block generated for its body, which holds
+only the arithmetic: `integrate` stores the states and adds the failing
+step's time to an error. A `Field` is the only field `integrate` takes.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import linecache
 import math
 import re
 import textwrap
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,8 @@ def _input_rows(inputs, at, t_block, width):
 
 
 # The names a `FieldBody` must neither declare nor assign: those that the
-# code generated by `_rk4_block` and `_compiled_field` assigns or takes as
-# arguments.
+# code generated by `_rk4_block` assigns or takes as arguments, and the
+# slots dx<i> of the body's function.
 _BLOCK_NAMES = re.compile(r"x|h|c|dt|extend|u_nodes|u_mids|u_node|u_mid|u_next|d?x\d+|k\d+_\d+")
 
 
@@ -109,14 +110,16 @@ class FieldBody:
     `source` reads state component i by the name state[i], the inputs
     by the names in the tuple `inputs`, the constants by the names in
     `constants` and other globals from `env`, and assigns derivative i
-    to {dx<i>}. Each state name that occurs in the source as a word is
-    bound once per stage, ahead of it; an unread one costs nothing. A
-    name declared twice or as one of the RK4 block's own (x, h, c, dt,
-    extend, u_nodes, u_mids, u_node, u_mid, u_next, x<i>, dx<i> and
+    to {dx<i>}. It is compiled once, when the body is built, as
+    field(*state, *inputs) returning the dx<i>; a `Field` runs that
+    code with its constants and env as globals. Each state name that
+    occurs in the source as a word is bound once per RK4 stage, ahead of
+    it. A name declared twice or as one of the RK4 block's own (x, h, c,
+    dt, extend, u_nodes, u_mids, u_node, u_mid, u_next, x<i>, dx<i> and
     k<stage>_<i>), and a constant or block name that the source assigns,
-    would clash in the block and raise ValueError. A `Field` binds a
-    body's constants. Bodies compare by identity. (A plain class: a
-    dataclass would add about 1 ms to `import siqr`.)
+    would clash in the block and raise ValueError. Bodies compare by
+    identity. (A plain class: a dataclass would add about 1 ms to
+    `import siqr`.)
     """
 
     def __init__(self, name: str, state: tuple, constants: tuple, inputs, source: str, env: dict):
@@ -124,24 +127,23 @@ class FieldBody:
         clashes = [n for n in names if names.count(n) > 1 or _BLOCK_NAMES.fullmatch(n)]
         if clashes:
             raise ValueError(f"{name} field declares {clashes[0]!r} twice or as an RK4 block name")
-        # The names that the source assigns are its locals when it runs as
-        # a function body.
-        probe = {}
-        exec("def f():\n pass\n" + textwrap.indent(re.sub(r"\{dx\d+\}", "_", source), " "), probe)
-        assigned = probe["f"].__code__.co_varnames
+        dx = [f"dx{i}" for i in range(len(state))]
+        field = f"def field({', '.join((*state, *inputs))}):\n"
+        field += _fill(source, dx, " " * 4) + f"\n    return {_tuple_of(dx)}\n"
+        code = _exec(field, f"<siqr field {name}>", {})["field"].__code__
+        # Past the parameters, the locals are the names the source assigns;
+        # a slot dx<i> counts only where the source writes it itself.
+        written = set(re.findall(r"\w+", re.sub(r"\{dx\d+\}", "", source)))
+        assigned = [n for n in code.co_varnames[code.co_argcount :] if n in written]
         clashes = [n for n in assigned if n in constants or _BLOCK_NAMES.fullmatch(n)]
         if clashes:
             raise ValueError(f"{name} field assigns {clashes[0]!r}, a constant or RK4 block name")
         self.name, self.state, self.dim, self.constants = name, state, len(state), constants
-        self.inputs, self.source, self.env = inputs, source, env
+        self.inputs, self.source, self.env, self.code = inputs, source, env, code
 
 
-def _fill(body, head, x, dx, indent):
-    """`head`, `name = x[i]` per state name read, and `body`'s source with
-    {dx<i>} -> dx[i], indented."""
-    reads = set(re.findall(r"\w+", body.source))
-    bind = "".join(f"{name} = {x_i}\n" for name, x_i in zip(body.state, x) if name in reads)
-    source = head + bind + body.source
+def _fill(source, dx, indent):
+    """`source` with {dx<i>} -> dx[i], indented."""
     # The braces delimit each name: "{dx1}" is no part of "{dx10}".
     for i, dx_i in enumerate(dx):
         source = source.replace(f"{{dx{i}}}", dx_i)
@@ -162,40 +164,23 @@ def _exec(source, filename, env):
     return namespace
 
 
-# The callable form of a body: the constants come first, as arguments,
-# so that a call builds no closure.
-_FIELD_TEMPLATE = """\
-def field({constants}x, {inputs}):
-    {x} = x
-{body}
-    return {dx}
-"""
-
-
-@functools.cache
-def _compiled_field(body: FieldBody):
-    """field(*constants, x, *inputs), compiled once per body."""
-    x = [f"x{i}" for i in range(body.dim)]
-    dx = [f"dx{i}" for i in range(body.dim)]
-    source = _FIELD_TEMPLATE.format(
-        constants="".join(f"{name}, " for name in body.constants),
-        inputs=", ".join(body.inputs),
-        x=_tuple_of(x),
-        body=_fill(body, "", x, dx, " " * 4),
-        dx=_tuple_of(dx),
-    )
-    return _exec(source, f"<siqr field {body.name}>", body.env)["field"]
-
-
 class Field:
-    """A `FieldBody` with its constants bound. `integrate` inlines the
-    body and does not call the field. Called, field(x, *inputs) returns a
-    tuple of dim numbers, x any sequence of dim numbers and one input per
-    name in the body's inputs (ValueError otherwise); the body's callable
-    form is compiled at the first call of a field of that body."""
+    """A `FieldBody` with its constants bound, one value per name in the
+    body's constants (ValueError otherwise). `integrate` inlines the body
+    and does not call the field. Called, field(x, *inputs) runs the code
+    compiled with the body and returns a tuple of dim numbers, x any
+    sequence of dim numbers and one input per name in the body's inputs
+    (ValueError otherwise)."""
 
     def __init__(self, body: FieldBody, constants: tuple):
+        if len(constants) != len(body.constants):
+            raise ValueError(
+                f"{body.name} field takes {len(body.constants)} constants "
+                f"({', '.join(body.constants)}), got {len(constants)}"
+            )
         self.body, self.constants = body, constants
+        bound = dict(zip(body.constants, constants))
+        self._field = types.FunctionType(body.code, {**body.env, **bound})
 
     def __call__(self, x, *inputs):
         body = self.body
@@ -204,7 +189,7 @@ class Field:
                 f"{body.name} field takes {body.dim} state components and "
                 f"{len(body.inputs)} inputs, got {len(x)} and {len(inputs)}"
             )
-        return _compiled_field(body)(*self.constants, x, *inputs)
+        return self._field(*x, *inputs)
 
 
 # One RK4 block, written out per state component so that a step does
@@ -243,14 +228,15 @@ def _rk4_block(body: FieldBody):
     last.
     """
     d = body.dim
+    reads = set(re.findall(r"\w+", body.source))
     stages = []
     for s, (step, row) in enumerate(
         [(None, "u_node"), ("h", "u_mid"), ("h", "u_mid"), ("dt", "u_next")], start=1
     ):
         x = [f"x{i}" if step is None else f"(x{i} + {step} * k{s - 1}_{i})" for i in range(d)]
-        dx = [f"k{s}_{i}" for i in range(d)]
         bind = "" if not body.inputs else f"{''.join(f'{name}, ' for name in body.inputs)}= {row}\n"
-        stages.append(_fill(body, bind, x, dx, " " * 8))
+        bind += "".join(f"{name} = {x_i}\n" for name, x_i in zip(body.state, x) if name in reads)
+        stages.append(_fill(bind + body.source, [f"k{s}_{i}" for i in range(d)], " " * 8))
     source = _RK4_TEMPLATE.format(
         constants=", ".join(body.constants),
         x=_tuple_of(f"x{i}" for i in range(d)),

@@ -169,8 +169,11 @@ def add_noise(series: OutputSeries, spec: NoiseSpec) -> OutputSeries:
     """
     rng = np.random.default_rng(spec.seed)
     n = series.times.size
-    y1 = series.y1 * (1.0 + rng.normal(0.0, spec.relative_sigma, n))
-    y2 = series.y2 * (1.0 + rng.normal(0.0, spec.relative_sigma, n))
+    # A huge relative_sigma overflows to inf; that divergence is reported
+    # downstream, where the samples are used.
+    with np.errstate(over="ignore"):
+        y1 = series.y1 * (1.0 + rng.normal(0.0, spec.relative_sigma, n))
+        y2 = series.y2 * (1.0 + rng.normal(0.0, spec.relative_sigma, n))
     return OutputSeries(
         times=series.times.copy(),
         y1=np.maximum(y1, 0.0),

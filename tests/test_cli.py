@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -526,11 +527,12 @@ def test_main_reads_a_config_file_that_starts_with_a_byte_order_mark(tmp_path, c
     assert capsys.readouterr().err == ""
 
 
-def test_commands_compile_their_rk4_blocks_and_no_callable_field(tmp_path):
-    # `integrate` inlines a `Field`'s body and never calls the field, so
-    # a command process compiles the RK4 block of each body it runs and
-    # no callable form (`<siqr field ...>`). A fresh interpreter starts
-    # with nothing compiled.
+def test_commands_compile_each_body_once_and_their_rk4_blocks(tmp_path):
+    # Each body is compiled once, to its callable form (`<siqr field ...>`),
+    # when `import siqr` builds it. `integrate` inlines a `Field`'s body and
+    # never calls the field, so a command process compiles only the RK4
+    # block of each body it runs besides, and nothing at a field's first
+    # call. A fresh interpreter starts with nothing compiled.
     config = tmp_path / "scenario.cfg"
     config.write_text(f"out.dir = {tmp_path / 'out'}\n")
     script = """\
@@ -545,7 +547,10 @@ print(json.dumps([codes, sorted(name for name in linecache.cache if name.startsw
     run = subprocess.run(
         [sys.executable, "-c", script, src, str(config)], capture_output=True, text=True, check=True
     )
-    assert json.loads(run.stdout) == [[0, 0, 0], ["<siqr rk4 model>", "<siqr rk4 observer>"]]
+    assert json.loads(run.stdout) == [
+        [0, 0, 0],
+        ["<siqr field model>", "<siqr field observer>", "<siqr rk4 model>", "<siqr rk4 observer>"],
+    ]
 
 
 # The simplified model at beta = 1e300 overflows without leaving its
@@ -582,6 +587,23 @@ def test_main_model_domain_overshoot_exits_three(tmp_path, capsys):
     )
     assert main(["simulate", "--config", str(config)]) == 3
     assert "Q < N" in capsys.readouterr().err
+
+
+def test_main_noise_that_overflows_warns_nothing(tmp_path, capsys):
+    # relative_sigma = 1e308 makes noisy samples overflow to inf. `observe`
+    # writes them as they are; `estimate` reports the observer's
+    # divergence. Neither lets numpy's overflow warning out, so under
+    # `python -W error` both still return their exit codes.
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"noise.relative_sigma = 1e308\nout.dir = {tmp_path / 'out'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["observe", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["estimate", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical divergence: state component 0 became non-finite at t=0.01\n"
+    )
 
 
 def test_main_estimate_no_noise_runs(tmp_path, capsys):

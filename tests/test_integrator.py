@@ -28,7 +28,7 @@ from siqr import (
     run_observer,
 )
 from siqr.cli import estimate_scenario, make_measurements
-from siqr.integrator import _BLOCK_ROWS, Field, FieldBody, _compiled_field, _rk4_block
+from siqr.integrator import _BLOCK_ROWS, Field, FieldBody, _rk4_block
 from siqr.models import _SIQR, vector_field
 from siqr.observer import _OBSERVER, _observer_field
 
@@ -412,12 +412,12 @@ def _observer_case(kind, noisy):
 def test_inlined_field_equals_called_field_bitwise(case):
     # 1,200 steps, over two blocks. `integrate` inlines a `Field`'s
     # equations and never calls it; the array RK4 calls the same field,
-    # which runs its compiled callable form once per stage, and must give
-    # the same bits.
+    # which runs the code compiled with its body once per stage, and must
+    # give the same bits.
     field, x0, inputs = case()
     cfg = IntegratorConfig(dt=0.01, horizon=12.0)
     assert cfg.n_steps > _BLOCK_ROWS
-    code = _compiled_field(field.body).__code__
+    code = field.body.code
     assert code.co_filename == f"<siqr field {field.body.name}>"
     inlined, inlined_calls = _calls_of(code, lambda: integrate(field, x0, cfg, inputs))
     called, called_calls = _calls_of(
@@ -457,17 +457,34 @@ def test_field_body_refuses_a_name_the_rk4_block_overwrites(state, constants, cl
 @pytest.mark.parametrize(
     "source, clash",
     [("c = k * v\n{dx0} = -c\n", "c"), ("k = 2 * k\n{dx0} = -k * v\n", "k"),
-     ("{dx0} = -k * v\nx0 += 1.0\n", "x0")],
-    ids=["block-c", "constant-k", "block-x0-augmented"],
+     ("{dx0} = -k * v\nx0 += 1.0\n", "x0"), ("{dx0} = -k * v\ndx0 = 0.0\n", "dx0")],
+    ids=["block-c", "constant-k", "block-x0-augmented", "block-dx0-literal"],
 )
 def test_field_body_refuses_a_source_that_assigns_a_block_name_or_a_constant(source, clash):
     # A source runs inside the RK4 block, so what it assigns stays bound
     # for the stages after it: with k = 2 and dt = 0.1, `c = k * v` would
     # replace the block's dt / 6 and the run would diverge at t = 0.8
     # instead of reaching e^-2, and `k = 2 * k` would double k at every
-    # stage.
+    # stage. A literal dx0 is the slot that {dx0} fills in the called form,
+    # whose value it would replace.
     with pytest.raises(ValueError, match=rf"^decay field assigns '{clash}', a constant or RK4"):
         FieldBody("decay", ("v",), ("k",), (), source, {})
+
+
+@pytest.mark.parametrize(
+    "use",
+    [lambda field: integrate(field, _REF_X0, IntegratorConfig(0.1, 1.0)),
+     lambda field: field(_REF_X0)],
+    ids=["integrated", "called"],
+)
+@pytest.mark.parametrize("constants", [(0.4, 0.1), (0.4, 0.1, 0.07, 1e5, True, 0.0)],
+                         ids=["too-few", "too-many"])
+def test_field_checks_how_many_constants_it_gets(constants, use):
+    # Too few constants would fail only inside the RK4 block or the called
+    # form, and too many would be dropped, so a `Field` counts them.
+    message = f"model field takes 5 constants (beta, rho, alpha, N, full), got {len(constants)}"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        use(Field(_SIQR, constants))
 
 
 @pytest.mark.parametrize(
@@ -504,12 +521,13 @@ def test_built_field_without_inputs_names_inputs():
 def test_bodies_bind_the_state_names_they_read(body, fields, bound):
     # The model never reads R, so no stage binds it; the observer reads
     # all seven of its names. The RK4 block binds each at its four
-    # stages, the callable form once.
+    # stages; the callable form takes the state names, then the input
+    # names, as its parameters and binds none of them.
     assert body.state == fields
     assert body.dim == len(body.state)
+    assert body.code.co_varnames[: body.code.co_argcount] == (*fields, *body.inputs)
     _rk4_block(body)
-    _compiled_field(body)
-    for form, stages in (("rk4", 4), ("field", 1)):
+    for form, stages in (("rk4", 4), ("field", 0)):
         source = "".join(linecache.cache[f"<siqr {form} {body.name}>"][2])
         for name in fields:
             count = len(re.findall(rf"^ *{name} = ", source, re.MULTILINE))

@@ -1,8 +1,10 @@
 import ast
+import hashlib
 import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -82,3 +84,20 @@ def test_readme_scenario_key_table_lists_every_key():
     keys = re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)
     assert sorted(keys) == sorted(_KEYS)
     assert len(keys) == len(set(keys))
+
+
+def test_cli_matrix_digests_a_case():
+    # tools/cli_matrix.py compares the CLI's outputs between two
+    # revisions; one case keeps it running against the current CLI.
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_matrix.py"), str(ROOT / "src"), "full/simulate"],
+        capture_output=True, text=True, check=True,
+    )
+    lines = [line.split("  ") for line in run.stdout.splitlines()]
+    assert [line[:2] for line in lines] == [
+        ["full/simulate", name] for name in ("out/truth.csv", "stdout", "stderr", "exit")
+    ]
+    digests = {name: digest for _, name, digest in lines}
+    assert digests["stderr"] == hashlib.sha256(b"").hexdigest()
+    assert digests["exit"] == hashlib.sha256(b"0").hexdigest()
+    assert run.stderr == ""

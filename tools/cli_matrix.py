@@ -1,0 +1,96 @@
+"""Digest what `python -m siqr` writes over a fixed matrix of cases.
+
+    python tools/cli_matrix.py SRC_DIR [CASE ...]
+
+SRC_DIR is the directory that holds the `siqr` package (a checkout's
+`src`); it is the PYTHONPATH of every run. Each case runs in a fresh
+temporary directory, with `out.dir = out`, and prints one line per
+output file, then stdout, stderr and the exit code:
+
+    case  name  sha256
+
+so two revisions compare with one diff:
+
+    python tools/cli_matrix.py old/src > old.txt
+    python tools/cli_matrix.py src > new.txt
+    diff old.txt new.txt
+
+SRC_DIR is replaced by `SRC` in stdout and stderr, so a traceback
+digests the same from either checkout. With CASE names, only those
+cases run. The whole matrix starts one process per case, one at a time.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _cases():
+    """{case name: (scenario lines, command arguments)}."""
+    cases = {}
+    for kind in ("full", "simplified"):
+        config = f"model.kind = {kind}\n"
+        for command in ("simulate", "observe", "estimate"):
+            cases[f"{kind}/{command}"] = (config, [command])
+            cases[f"{kind}/{command}--no-noise"] = (config, [command, "--no-noise"])
+        cases[f"{kind}/identify--t3"] = (config, ["identify", "--t", "3"])
+        cases[f"{kind}/check"] = (config, ["check"])
+    # The first step carries the full model past Q = N (exit 3).
+    for command in ("simulate", "observe", "estimate", "identify", "check"):
+        args = [command, "--t", "3"] if command == "identify" else [command]
+        cases[f"beta1e300/{command}"] = ("params.beta = 1e300\n", args)
+    # Fast placement into quarantine, the observer past its stability
+    # (exit 3), and a recovery instant past the horizon (exit 2).
+    cases["alpha50/simulate"] = ("params.alpha = 50\n", ["simulate"])
+    cases["horizon30/estimate"] = ("sim.horizon = 30\n", ["estimate"])
+    cases["identify--t20"] = ("", ["identify", "--t", "20"])
+    return cases
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(src: Path, case: str, config: str, args: list) -> list:
+    """The `case  name  sha256` lines of one case."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "scenario.cfg").write_text(config + "out.dir = out\n")
+        run = subprocess.run(
+            [sys.executable, "-m", "siqr", *args, "--config", "scenario.cfg"],
+            cwd=work, env=env, capture_output=True,
+        )
+        outputs = {
+            path.relative_to(work).as_posix(): path.read_bytes()
+            for path in sorted((work / "out").rglob("*")) if path.is_file()
+        }
+    outputs["stdout"] = run.stdout.replace(os.fsencode(src), b"SRC")
+    outputs["stderr"] = run.stderr.replace(os.fsencode(src), b"SRC")
+    outputs["exit"] = str(run.returncode).encode()
+    return [f"{case}  {name}  {_sha(data)}" for name, data in outputs.items()]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, chosen = Path(argv[0]).resolve(), argv[1:]
+    cases = _cases()
+    unknown = [case for case in chosen if case not in cases]
+    if unknown:
+        print(f"unknown case {unknown[0]!r}; cases: {', '.join(cases)}", file=sys.stderr)
+        return 2
+    for case in chosen or cases:
+        config, args = cases[case]
+        print("\n".join(run_case(src, case, config, args)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
