@@ -14,7 +14,8 @@ class RootSelectionError(ValueError):
 
 
 class DegenerateInputError(ValueError):
-    """Recovery quadratic has no real roots; the jet is not model-consistent."""
+    """Jet the recovery cannot use: an entry not finite, an overflow, a
+    vanishing divisor or quadratic, or a quadratic with no real roots."""
 
 
 class RegimeError(ValueError):
@@ -30,10 +31,10 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Numerical state stopped being finite during integration.
+    """Numerical state, or a noisy sample, stopped being finite.
 
-    `time` is the first step whose state is not finite and `component`
-    the index of that state's first non-finite entry.
+    `time` is the first step or sample that is not finite and `component`
+    the index of that state's first non-finite entry (None for a sample).
     """
 
     def __init__(self, message, time=None, component=None):

@@ -85,24 +85,6 @@ class Trajectory:
             raise ValueError("times and states must be aligned")
 
 
-def _input_rows(inputs, at, t_block, width):
-    """inputs(at) as a list of rows, checked to hold one row of width
-    values per time."""
-    rows = np.asarray(inputs(at))
-    if rows.shape != (at.size, width):
-        raise ValueError(
-            f"inputs must return one row per time of {width} values, got shape {rows.shape} "
-            f"for {at.size} times (block from t={t_block:.6g})"
-        )
-    return rows.tolist()
-
-
-# The names a `FieldBody` must neither declare nor assign: those that the
-# code generated by `_rk4_block` assigns or takes as arguments, and the
-# slots dx<i> of the body's function.
-_BLOCK_NAMES = re.compile(r"x|h|c|dt|extend|u_nodes|u_mids|u_node|u_mid|u_next|d?x\d+|k\d+_\d+")
-
-
 class FieldBody:
     """The equations of a vector field x' = f(x, *u), written once as
     Python statements.
@@ -111,33 +93,32 @@ class FieldBody:
     by the names in the tuple `inputs`, the constants by the names in
     `constants` and other globals from `env`, and assigns derivative i
     to {dx<i>}. It is compiled once, when the body is built, as
-    field(*state, *inputs) returning the dx<i>; a `Field` runs that
-    code with its constants and env as globals. Each state name that
-    occurs in the source as a word is bound once per RK4 stage, ahead of
-    it. A name declared twice or as one of the RK4 block's own (x, h, c,
-    dt, extend, u_nodes, u_mids, u_node, u_mid, u_next, x<i>, dx<i> and
-    k<stage>_<i>), and a constant or block name that the source assigns,
-    would clash in the block and raise ValueError. Bodies compare by
-    identity. (A plain class: a dataclass would add about 1 ms to
-    `import siqr`.)
+    _field(*state, *inputs) returning the slots _dx<i>; a `Field` runs
+    that code with its constants and env as globals. Each state name
+    among the `words` of the source is bound once per RK4 stage, ahead
+    of it. Every name that the RK4 block and the field form make up
+    starts with _, so none can clash with the body's: a name declared
+    twice, a declared name or a word of the source that starts with _,
+    and a source that assigns one of its constants (which the later
+    stages would read) raise ValueError. Bodies compare by identity. (A
+    plain class: a dataclass would add about 1 ms to `import siqr`.)
     """
 
     def __init__(self, name: str, state: tuple, constants: tuple, inputs, source: str, env: dict):
         names = (*state, *constants, *inputs)
-        clashes = [n for n in names if names.count(n) > 1 or _BLOCK_NAMES.fullmatch(n)]
+        self.words = re.findall(r"\w+", source)
+        clashes = [n for n in (*names, *self.words) if names.count(n) > 1 or n.startswith("_")]
         if clashes:
-            raise ValueError(f"{name} field declares {clashes[0]!r} twice or as an RK4 block name")
-        dx = [f"dx{i}" for i in range(len(state))]
-        field = f"def field({', '.join((*state, *inputs))}):\n"
+            raise ValueError(f"{name} field names {clashes[0]!r} twice or with a leading _")
+        dx = [f"_dx{i}" for i in range(len(state))]
+        field = f"def _field({', '.join((*state, *inputs))}):\n"
         field += _fill(source, dx, " " * 4) + f"\n    return {_tuple_of(dx)}\n"
-        code = _exec(field, f"<siqr field {name}>", {})["field"].__code__
-        # Past the parameters, the locals are the names the source assigns;
-        # a slot dx<i> counts only where the source writes it itself.
-        written = set(re.findall(r"\w+", re.sub(r"\{dx\d+\}", "", source)))
-        assigned = [n for n in code.co_varnames[code.co_argcount :] if n in written]
-        clashes = [n for n in assigned if n in constants or _BLOCK_NAMES.fullmatch(n)]
-        if clashes:
-            raise ValueError(f"{name} field assigns {clashes[0]!r}, a constant or RK4 block name")
+        code = _exec(field, f"<siqr field {name}>", {})["_field"].__code__
+        # Past the parameters, the locals are the slots _dx<i> and the
+        # names the source assigns.
+        assigned = [n for n in code.co_varnames[code.co_argcount :] if n in constants]
+        if assigned:
+            raise ValueError(f"{name} field assigns its constant {assigned[0]!r}")
         self.name, self.state, self.dim, self.constants = name, state, len(state), constants
         self.inputs, self.source, self.env, self.code = inputs, source, env, code
 
@@ -193,25 +174,24 @@ class Field:
 
 
 # One RK4 block, written out per state component so that a step does
-# its arithmetic on local names (x0 + h * k1_0, ...), with no per-step
+# its arithmetic on local names (_x0 + _h * _k1_0, ...), with no per-step
 # loop over the components. Each stage binds the field's inputs to the
 # stage's input row and its state names to the stage state, then runs
-# its body with {dx<i>} filled in by the stage slope k<stage>_<i>.
-# `{x}` stands for the d names x<i>.
+# its body with {dx<i>} filled in by the stage slope _k<stage>_<i>.
+# `{x}` stands for the d names _x<i>. The block's own names start with
+# _, which no body may use.
 # The expressions and their order are those of the array form, so a
 # body gives the same bits as numpy RK4 over its callable field. No
-# error handling or storage: `integrate` passes `extend` for the states.
+# error handling or storage: `integrate` passes `_extend` for the states.
 _RK4_TEMPLATE = """\
-def rk4_block(x, u_nodes, u_mids, dt, extend, {constants}):
-    h = 0.5 * dt
-    c = dt / 6.0
-    {x} = x
-    u_node = u_nodes[0]
-    for u_mid, u_next in zip(u_mids, u_nodes[1:]):
+def _rk4_block(_x, _u, _dt, _extend, {constants}):
+    _h = 0.5 * _dt
+    _c = _dt / 6.0
+    {x} = _x
+    for _u_node, _u_mid, _u_next in zip(_u[0::2], _u[1::2], _u[2::2]):
 {stages}
 {step}
-        extend({x})
-        u_node = u_next
+        _extend({x})
     return {x}
 """
 
@@ -220,34 +200,32 @@ def rk4_block(x, u_nodes, u_mids, dt, extend, {constants}):
 def _rk4_block(body: FieldBody):
     """The RK4 block function of `body`, built once per body.
 
-    rk4_block(x, u_nodes, u_mids, dt, extend, *constants) takes the
-    state x as a sequence of floats, steps once per entry of u_mids,
-    calls extend with each new state as a tuple and returns the last
-    one. Step j of the block takes its input row u_nodes[j] at its first
-    stage, u_mids[j] at the two middle ones and u_nodes[j + 1] at the
-    last.
+    _rk4_block(_x, _u, _dt, _extend, *constants) takes the state _x as
+    floats and the rows _u at the block's 2m + 1 stage times in time
+    order, takes m steps, calls _extend with each new state as a tuple
+    and returns the last one. Step j takes _u[2j] at its first stage,
+    _u[2j + 1] at the two middle ones and _u[2j + 2] at the last.
     """
     d = body.dim
-    reads = set(re.findall(r"\w+", body.source))
     stages = []
     for s, (step, row) in enumerate(
-        [(None, "u_node"), ("h", "u_mid"), ("h", "u_mid"), ("dt", "u_next")], start=1
+        [(None, "_u_node"), ("_h", "_u_mid"), ("_h", "_u_mid"), ("_dt", "_u_next")], start=1
     ):
-        x = [f"x{i}" if step is None else f"(x{i} + {step} * k{s - 1}_{i})" for i in range(d)]
+        x = [f"_x{i}" if step is None else f"(_x{i} + {step} * _k{s - 1}_{i})" for i in range(d)]
         bind = "" if not body.inputs else f"{''.join(f'{name}, ' for name in body.inputs)}= {row}\n"
-        bind += "".join(f"{name} = {x_i}\n" for name, x_i in zip(body.state, x) if name in reads)
-        stages.append(_fill(bind + body.source, [f"k{s}_{i}" for i in range(d)], " " * 8))
+        bind += "".join(f"{name} = {x_i}\n" for name, x_i in zip(body.state, x) if name in body.words)
+        stages.append(_fill(bind + body.source, [f"_k{s}_{i}" for i in range(d)], " " * 8))
     source = _RK4_TEMPLATE.format(
         constants=", ".join(body.constants),
-        x=_tuple_of(f"x{i}" for i in range(d)),
+        x=_tuple_of(f"_x{i}" for i in range(d)),
         stages="\n".join(stages),
         # Summed in the order of the array form x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4).
         step="\n".join(
-            f"        x{i} = x{i} + c * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+            f"        _x{i} = _x{i} + _c * (_k1_{i} + 2.0 * _k2_{i} + 2.0 * _k3_{i} + _k4_{i})"
             for i in range(d)
         ),
     )
-    return _exec(source, f"<siqr rk4 {body.name}>", body.env)["rk4_block"]
+    return _exec(source, f"<siqr rk4 {body.name}>", body.env)["_rk4_block"]
 
 
 def integrate(rhs: Field, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
@@ -258,11 +236,11 @@ def integrate(rhs: Field, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     Without `inputs` the system is autonomous and u is empty. Otherwise
     `inputs` is a function of a 1-D array of stage times that returns
     one row per time of one value per input of the body, and u is the
-    row at each RK4 stage time. It is called twice per block of up to
-    1024 steps, at the block's step nodes and at its half steps, so an
-    interpolation or a transform of the inputs runs once per block on
-    arrays (ValueError if its result has another shape, or if it is
-    missing for a body that reads inputs).
+    row at each RK4 stage time. It is called once per block of m <= 1024
+    steps, at its 2m + 1 stage times t_j, t_j + dt/2, t_{j+1}, ... in
+    time order, so an interpolation or a transform of the inputs runs
+    once per block on arrays (ValueError if its result has another
+    shape, or if it is missing for a body that reads inputs).
 
     An exception raised in a step (by the body, or by storing a value
     that is no real number) is re-raised from itself as its type with
@@ -285,29 +263,33 @@ def integrate(rhs: Field, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
         )
     if inputs is None and body.inputs:
         raise ValueError(f"inputs must be set for the {body.name} field's {', '.join(body.inputs)}")
-    width = len(body.inputs)
     rk4_block = _rk4_block(body)
     from array import array  # a shared library: loaded at the first run, not at import
 
     states = np.empty((n + 1, d))
     states[0] = x
     x = x.tolist()
-    empty = [()] * (_BLOCK_ROWS + 1)
     # Divergence shows up as inf/NaN states and is reported below; the
     # intermediate overflow warnings of a body that calls numpy carry no
     # extra information.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n)
-            if inputs is None:
-                u_nodes, u_mids = empty, empty[: stop - start]
-            else:
-                nodes = times[start : stop + 1]
-                u_nodes = _input_rows(inputs, nodes, nodes[0], width)
-                u_mids = _input_rows(inputs, nodes[:-1] + 0.5 * dt, nodes[0], width)
+            u = [()] * (2 * (stop - start) + 1)
+            if inputs is not None:
+                at = np.empty(len(u))
+                at[0::2] = times[start : stop + 1]
+                at[1::2] = times[start:stop] + 0.5 * dt
+                u = np.asarray(inputs(at))
+                if u.shape != (at.size, len(body.inputs)):
+                    raise ValueError(
+                        f"inputs must return one row per time of {len(body.inputs)} values, "
+                        f"got shape {u.shape} for {at.size} times (block from t={at[0]:.6g})"
+                    )
+                u = u.tolist()
             rows = array("d")
             try:
-                x = rk4_block(x, u_nodes, u_mids, dt, rows.extend, *rhs.constants)
+                x = rk4_block(x, u, dt, rows.extend, *rhs.constants)
             except Exception as exc:  # noqa: BLE001 - context is the point
                 # The step after the rows written failed (a field of no
                 # components writes none: the block's start).

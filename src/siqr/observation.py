@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DivergenceError, DomainError
 from .integrator import Trajectory
 from .models import EpidemicState, ModelKind, ModelParams, is_full
 
@@ -165,15 +165,18 @@ def add_noise(series: OutputSeries, spec: NoiseSpec) -> OutputSeries:
     Draws are i.i.d., y1 first then y2, from a generator seeded with
     spec.seed, so the result is a pure function of (series, spec).
     Negative results are clamped to zero: the signals are physically
-    non-negative.
+    non-negative. A sample that is not finite (a huge relative_sigma
+    overflows) raises DivergenceError naming its channel and first time.
     """
     rng = np.random.default_rng(spec.seed)
     n = series.times.size
-    # A huge relative_sigma overflows to inf; that divergence is reported
-    # downstream, where the samples are used.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # the overflow is reported below
         y1 = series.y1 * (1.0 + rng.normal(0.0, spec.relative_sigma, n))
         y2 = series.y2 * (1.0 + rng.normal(0.0, spec.relative_sigma, n))
+    bad = np.argwhere(~np.isfinite(np.column_stack([y1, y2])))  # first time, then channel
+    if bad.size:
+        t = float(series.times[bad[0, 0]])
+        raise DivergenceError(f"noisy y{bad[0, 1] + 1} became non-finite at t={t:.6g}", time=t)
     return OutputSeries(
         times=series.times.copy(),
         y1=np.maximum(y1, 0.0),

@@ -591,19 +591,19 @@ def test_main_model_domain_overshoot_exits_three(tmp_path, capsys):
 
 def test_main_noise_that_overflows_warns_nothing(tmp_path, capsys):
     # relative_sigma = 1e308 makes noisy samples overflow to inf. `observe`
-    # writes them as they are; `estimate` reports the observer's
-    # divergence. Neither lets numpy's overflow warning out, so under
+    # and `estimate` both report the first one, by channel and time, and
+    # write nothing. Neither lets numpy's overflow warning out, so under
     # `python -W error` both still return their exit codes.
     config = tmp_path / "scenario.cfg"
     config.write_text(f"noise.relative_sigma = 1e308\nout.dir = {tmp_path / 'out'}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["observe", "--config", str(config)]) == 0
-        assert capsys.readouterr().err == ""
-        assert main(["estimate", "--config", str(config)]) == 3
-    assert capsys.readouterr().err == (
-        "numerical divergence: state component 0 became non-finite at t=0.01\n"
-    )
+        for command in ("observe", "estimate"):
+            assert main([command, "--config", str(config)]) == 3
+            assert capsys.readouterr().err == (
+                "numerical divergence: noisy y2 became non-finite at t=0.03\n"
+            )
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_estimate_no_noise_runs(tmp_path, capsys):

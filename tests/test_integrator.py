@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import linecache
 import re
@@ -335,6 +336,48 @@ def test_steps_are_written_in_blocks_not_kept_as_rows():
     assert peak < 2 * traj.states.nbytes + 256 * 1024
 
 
+def test_driven_steps_are_written_in_blocks_not_kept_as_rows():
+    # The input rows are Python floats too: interpolated per block, on
+    # arrays, they leave the peak near one states array as well.
+    cfg = IntegratorConfig(dt=0.001, horizon=20.0)
+    samples = np.linspace(0.0, 20.0, 201)
+    values = 1.0 + np.sin(samples)
+
+    def inputs(at):
+        return np.interp(at, samples, values)[:, None]
+
+    tracemalloc.start()
+    try:
+        field = _body_field("".join(f"{{dx{i}}} = y - 0.1 * s{i}\n" for i in range(4)), 4, ("y",))
+        traj = integrate(field, [4.0, 3.0, 2.0, 1.0], cfg, inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (20001, 4)
+    assert peak < 2 * traj.states.nbytes + 256 * 1024
+
+
+def test_inputs_is_called_once_per_block_at_its_stage_times_in_order():
+    # 2,500 steps make three blocks. Each asks for its rows once, at
+    # t_j, t_j + dt/2, t_{j+1}, ..., each half step computed as
+    # times[j] + 0.5 * dt, so that interpolated rows keep their bits.
+    cfg = IntegratorConfig(dt=0.004, horizon=10.0)
+    calls = []
+
+    def inputs(at):
+        calls.append(at.copy())
+        return np.ones((at.size, 1))
+
+    integrate(_driven(), [0.0], cfg, inputs)
+    starts = range(0, cfg.n_steps, _BLOCK_ROWS)
+    assert cfg.n_steps == 2500 and len(calls) == len(starts) == 3
+    for start, at in zip(starts, calls):
+        stop = min(start + _BLOCK_ROWS, cfg.n_steps)
+        assert np.array_equal(at[0::2], cfg.times[start : stop + 1])
+        assert np.array_equal(at[1::2], cfg.times[start:stop] + 0.5 * cfg.dt)
+        assert np.all(np.diff(at) > 0)
+
+
 def test_rk4_observed_order_at_least_3_5():
     # Fast epidemic wave so truncation error dominates roundoff on
     # the prescribed step sizes.
@@ -428,9 +471,10 @@ def test_inlined_field_equals_called_field_bitwise(case):
     assert np.array_equal(inlined.states, called)
 
 
-def _decay_body(state=("v",), constants=("k",)):
-    """x' = -k * x on one component, with its state and constant named."""
-    source = f"{{dx0}} = -{constants[0]} * {state[0]}\n"
+def _decay_body(state=("v",), constants=("k",), source=None):
+    """x' = -k * x on one component, with its state and constant named,
+    or the body of `source`."""
+    source = source or f"{{dx0}} = -{constants[0]} * {state[0]}\n"
     return FieldBody("decay", state, constants, (), source, {})
 
 
@@ -440,35 +484,74 @@ def test_field_body_reads_its_state_by_name():
 
 
 @pytest.mark.parametrize(
+    "state, constants, source",
+    [(("v",), ("h",), None), (("v",), ("c",), None), (("x0",), ("k",), None),
+     (("v",), ("dt",), None), (("k1_0",), ("k",), None),
+     (("v",), ("k",), "c = k * v\n{dx0} = -c\n"),
+     (("v",), ("k",), "{dx0} = -k * v\ndx0 = 0.0\n")],
+    ids=["constant-h", "constant-c", "state-x0", "constant-dt", "state-k1_0", "block-c",
+         "block-dx0-literal"],
+)
+def test_field_body_may_name_h_c_dt_x0_k1_0_and_dx0(state, constants, source):
+    # The RK4 block's own names (_h, _c, _dt, _x0, _k1_0, ...) and the
+    # field form's slots (_dx0, ...) start with _, so a body may use them
+    # without it. Were the half step named h, a constant h would read it
+    # and x' = -2x would reach 0.951 at t = 1, not e^-2; here every such
+    # body gives the bits of the body with neutral names.
+    cfg = IntegratorConfig(dt=0.1, horizon=1.0)
+    expected = integrate(Field(_decay_body(), (2.0,)), [1.0], cfg).states
+    run = integrate(Field(_decay_body(state, constants, source), (2.0,)), [1.0], cfg)
+    assert np.array_equal(run.states, expected)
+
+
+@pytest.mark.parametrize(
     "state, constants, clash",
-    [(("v",), ("h",), "h"), (("v",), ("c",), "c"), (("x0",), ("k",), "x0"),
-     (("v",), ("v",), "v")],
-    ids=["constant-h", "constant-c", "state-x0", "state-also-a-constant"],
+    [(("v",), ("v",), "v"), (("v",), ("_h",), "_h"), (("_x0",), ("k",), "_x0")],
+    ids=["state-also-a-constant", "constant-_h", "state-_x0"],
 )
 def test_field_body_refuses_a_name_the_rk4_block_overwrites(state, constants, clash):
-    # The RK4 block assigns h (the half step), c (dt / 6) and x<i> (the
-    # state) itself, and binds each state name at every stage: a body
-    # declaring one of them would read the block's value instead of its
-    # own (x' = -2x to t = 1 gave 0.951 with a constant h, not e^-2).
-    with pytest.raises(ValueError, match=rf"^decay field declares '{clash}' twice or as an RK4"):
+    # The RK4 block binds each state name at every stage, so a constant of
+    # the same name would read the stage state instead of its value; and
+    # the block's own names all start with _.
+    with pytest.raises(ValueError, match=rf"^decay field names '{clash}' twice or with a leading _$"):
         _decay_body(state, constants)
 
 
 @pytest.mark.parametrize(
-    "source, clash",
-    [("c = k * v\n{dx0} = -c\n", "c"), ("k = 2 * k\n{dx0} = -k * v\n", "k"),
-     ("{dx0} = -k * v\nx0 += 1.0\n", "x0"), ("{dx0} = -k * v\ndx0 = 0.0\n", "dx0")],
-    ids=["block-c", "constant-k", "block-x0-augmented", "block-dx0-literal"],
+    "source, message",
+    [("k = 2 * k\n{dx0} = -k * v\n", "assigns its constant 'k'"),
+     ("{dx0} = -k * v\n_x0 += 1.0\n", "names '_x0' twice or with a leading _"),
+     ("{dx0} = -k * v\n_dx0 = 0.0\n", "names '_dx0' twice or with a leading _"),
+     ("_h = 0.5\n{dx0} = -k * v\n", "names '_h' twice or with a leading _")],
+    ids=["constant-k", "block-_x0-augmented", "block-_dx0-literal", "block-_h"],
 )
-def test_field_body_refuses_a_source_that_assigns_a_block_name_or_a_constant(source, clash):
+def test_field_body_refuses_a_source_that_assigns_a_block_name_or_a_constant(source, message):
     # A source runs inside the RK4 block, so what it assigns stays bound
-    # for the stages after it: with k = 2 and dt = 0.1, `c = k * v` would
-    # replace the block's dt / 6 and the run would diverge at t = 0.8
-    # instead of reaching e^-2, and `k = 2 * k` would double k at every
-    # stage. A literal dx0 is the slot that {dx0} fills in the called form,
-    # whose value it would replace.
-    with pytest.raises(ValueError, match=rf"^decay field assigns '{clash}', a constant or RK4"):
+    # for the stages after it: `k = 2 * k` would double k at every stage,
+    # `_x0 += 1.0` would move the state and `_h = 0.5` the half step. _dx0
+    # is the slot that {dx0} fills in the called form.
+    with pytest.raises(ValueError, match=rf"^decay field {re.escape(message)}$"):
         FieldBody("decay", ("v",), ("k",), (), source, {})
+
+
+def _assigned(body):
+    """The names that the source of `body` assigns, read from its syntax
+    tree with each {dx<i>} parsed as an item of a list."""
+    tree = ast.parse(re.sub(r"\{dx(\d+)\}", r"slots[\1]", body.source))
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+@pytest.mark.parametrize("body", [_SIQR, _OBSERVER, _driven().body],
+                         ids=["model", "observer", "driven"])
+def test_generated_names_start_with_an_underscore(body):
+    # FieldBody refuses every name that starts with _, so none of the
+    # names that the RK4 block and the field form make up can clash with
+    # a name of the body.
+    own = {*body.state, *body.constants, *body.inputs, *_assigned(body)}
+    for code in (_rk4_block(body).__code__, body.code):
+        made_up = [name for name in code.co_varnames if name not in own]
+        assert made_up and all(name.startswith("_") for name in made_up), made_up
 
 
 @pytest.mark.parametrize(

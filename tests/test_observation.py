@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from siqr import (
+    DivergenceError,
     DomainError,
     EpidemicState,
     IntegratorConfig,
@@ -281,6 +282,16 @@ def test_add_noise_clamps_at_zero():
     out = add_noise(series, NoiseSpec(relative_sigma=5.0, seed=3))
     assert out.y1.min() >= 0.0
     assert out.y2.min() >= 0.0
+
+
+def test_add_noise_that_overflows_names_the_channel_and_its_first_time():
+    # At relative_sigma = 1e308 a draw beyond 1.8 sigma overflows a unit
+    # sample. With seed 14, y2 overflows first at t=1 and y1 at t=1.5: the
+    # error names the earliest non-finite sample, not y1's.
+    series = OutputSeries(times=np.arange(8) * 0.5, y1=np.ones(8), y2=np.ones(8))
+    with pytest.raises(DivergenceError, match=r"^noisy y2 became non-finite at t=1$") as excinfo:
+        add_noise(series, NoiseSpec(relative_sigma=1e308, seed=14))
+    assert excinfo.value.time == 1.0
 
 
 def test_moving_average_window_one_is_identity():

@@ -87,15 +87,19 @@ def test_readme_scenario_key_table_lists_every_key():
 
 
 def test_cli_matrix_digests_a_case():
-    # tools/cli_matrix.py compares the CLI's outputs between two
-    # revisions; one case keeps it running against the current CLI.
+    # tools/cli_matrix.py compares the CLI's outputs, and the sources that
+    # siqr generates, between two revisions; one CLI case and the
+    # generated sources keep it running against the current code.
     run = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "cli_matrix.py"), str(ROOT / "src"), "full/simulate"],
+        [sys.executable, str(ROOT / "tools" / "cli_matrix.py"), str(ROOT / "src"), "full/simulate",
+         "generated"],
         capture_output=True, text=True, check=True,
     )
     lines = [line.split("  ") for line in run.stdout.splitlines()]
     assert [line[:2] for line in lines] == [
-        ["full/simulate", name] for name in ("out/truth.csv", "stdout", "stderr", "exit")
+        *(["full/simulate", name] for name in ("out/truth.csv", "stdout", "stderr", "exit")),
+        *(["generated", f"<siqr {form} {body}>"] for form in ("field", "rk4")
+          for body in ("model", "observer")),
     ]
     digests = {name: digest for _, name, digest in lines}
     assert digests["stderr"] == hashlib.sha256(b"").hexdigest()

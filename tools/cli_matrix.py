@@ -16,8 +16,16 @@ so two revisions compare with one diff:
     diff old.txt new.txt
 
 SRC_DIR is replaced by `SRC` in stdout and stderr, so a traceback
-digests the same from either checkout. With CASE names, only those
-cases run. The whole matrix starts one process per case, one at a time.
+digests the same from either checkout. The `generated` case runs one
+process that simulates and estimates both model kinds and digests each
+source that `siqr` generated and compiled there (the RK4 blocks and the
+field forms, as registered in linecache), one line each:
+
+    generated  <siqr rk4 model>  sha256
+
+so a diff also shows whether the generated hot loop changed. With CASE
+names, only those cases run. The whole matrix starts one process per
+case, one at a time.
 """
 from __future__ import annotations
 
@@ -51,8 +59,30 @@ def _cases():
     return cases
 
 
+# Run with SRC_DIR on sys.path; prints "name  sha256" per generated source.
+_GENERATED = """\
+import hashlib, linecache
+from siqr import ModelKind, Scenario
+from siqr.cli import estimate_scenario
+for kind in ModelKind:
+    estimate_scenario(Scenario(kind=kind))
+for name in sorted(name for name in linecache.cache if name.startswith("<siqr ")):
+    text = "".join(linecache.cache[name][2]).encode()
+    print(name, hashlib.sha256(text).hexdigest(), sep="  ")
+"""
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def run_generated(src: Path) -> list:
+    """The `generated  name  sha256` lines, one per generated source."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-c", _GENERATED], env=env, capture_output=True, text=True, check=True
+    )
+    return [f"generated  {line}" for line in run.stdout.splitlines()]
 
 
 def run_case(src: Path, case: str, config: str, args: list) -> list:
@@ -82,13 +112,14 @@ def main(argv=None) -> int:
         return 2
     src, chosen = Path(argv[0]).resolve(), argv[1:]
     cases = _cases()
-    unknown = [case for case in chosen if case not in cases]
+    names = [*cases, "generated"]
+    unknown = [case for case in chosen if case not in names]
     if unknown:
-        print(f"unknown case {unknown[0]!r}; cases: {', '.join(cases)}", file=sys.stderr)
+        print(f"unknown case {unknown[0]!r}; cases: {', '.join(names)}", file=sys.stderr)
         return 2
-    for case in chosen or cases:
-        config, args = cases[case]
-        print("\n".join(run_case(src, case, config, args)), flush=True)
+    for case in chosen or names:
+        lines = run_generated(src) if case == "generated" else run_case(src, case, *cases[case])
+        print("\n".join(lines), flush=True)
     return 0
 
 
