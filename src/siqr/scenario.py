@@ -24,13 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 from .integrator import IntegratorConfig
 from .models import EpidemicState, ModelKind, ModelParams, is_full
 from .observation import NoiseSpec, check_window
-from .observer import GainSet, ObserverState, gains
+from .observer import GainSet, ObserverState, _inputs, gains
 
 __all__ = ["Scenario", "parse_scenario", "DEFAULT_LAMBDA", "DEFAULT_MU", "REFERENCE_MU"]
 
@@ -120,15 +118,10 @@ class Scenario:
         return gains(self.lam, self.mu)
 
     def observer_init(self, y1_0: float, y2_0: float) -> ObserverState:
-        return ObserverState(
-            z1_hat=float(np.log(y1_0)),
-            z2_hat=float(np.log(y2_0)),
-            delta_hat=self.delta0,
-            rho_hat=self.rho0,
-            y1_hat=float(y1_0),
-            v_hat=self.v0,
-            k_hat=self.k0,
-        )
+        """The observer's start: z1, z2, y1 from the `_inputs` row of the
+        first measurements (y1_0, y2_0), the rest from the guesses."""
+        y1, _, z1, z2 = _inputs([y1_0], [y2_0])[0].tolist()
+        return ObserverState(z1, z2, self.delta0, self.rho0, y1, self.v0, self.k0)
 
 
 def _parse_floats(text):

@@ -301,9 +301,10 @@ def test_model_run_equals_array_rk4_bitwise(field, reference, x0, dt, horizon):
 
 @pytest.mark.parametrize("kind", [ModelKind.FULL, ModelKind.SIMPLIFIED])
 def test_observer_run_equals_array_rk4_bitwise(kind):
-    # 5% measurement noise, over 2,500 steps: the input rows and their
-    # logs are computed block by block, on arrays, and must give the
-    # bits of the scalar logs that the reference field takes per stage.
+    # 5% measurement noise, over 2,500 steps: `run_observer` takes the
+    # input rows of a block of steps at once, and the reference field
+    # (`observer_rhs`) the row of one stage at a time. Both take them
+    # from `observer._inputs`, and the two must give the same bits.
     sc = dataclasses.replace(Scenario(), dt=0.004, kind=kind)
     _, _, measurements = make_measurements(sc, noisy=True)
     guarded, _, _ = guard_measurements(measurements)

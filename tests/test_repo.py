@@ -1,7 +1,9 @@
 import ast
 import hashlib
 import importlib
+import importlib.util
 import inspect
+import math
 import pkgutil
 import re
 import subprocess
@@ -87,12 +89,13 @@ def test_readme_scenario_key_table_lists_every_key():
 
 
 def test_cli_matrix_digests_a_case():
-    # tools/cli_matrix.py compares the CLI's outputs, and the sources that
-    # siqr generates, between two revisions; one CLI case and the
-    # generated sources keep it running against the current code.
+    # tools/cli_matrix.py compares the CLI's outputs, the sources that
+    # siqr generates and the library entry points no command reaches,
+    # between two revisions; one CLI case, the generated sources and the
+    # library digests keep it running against the current code.
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "cli_matrix.py"), str(ROOT / "src"), "full/simulate",
-         "generated"],
+         "generated", "library"],
         capture_output=True, text=True, check=True,
     )
     lines = [line.split("  ") for line in run.stdout.splitlines()]
@@ -100,8 +103,82 @@ def test_cli_matrix_digests_a_case():
         *(["full/simulate", name] for name in ("out/truth.csv", "stdout", "stderr", "exit")),
         *(["generated", f"<siqr {form} {body}>"] for form in ("field", "rk4")
           for body in ("model", "observer")),
+        *(["library", f"{name} {kind}"] for kind in ("full", "simplified")
+          for name in ("observer_init", "observer_rhs")),
     ]
     digests = {name: digest for _, name, digest in lines}
     assert digests["stderr"] == hashlib.sha256(b"").hexdigest()
     assert digests["exit"] == hashlib.sha256(b"0").hexdigest()
     assert run.stderr == ""
+
+
+def test_src_takes_logs_only_in_the_observer_input_map():
+    # The observer's coordinates z_i = log y_i are taken in one place,
+    # `observer._inputs`, which its start, `observer_rhs` and
+    # `run_observer` all read; a log anywhere else in the library could
+    # give another field different bits.
+    inside, outside = 0, []
+    for path in sorted((ROOT / "src" / "siqr").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_inputs" \
+                    and path.name == "observer.py":
+                owner = {id(child) for child in ast.walk(node)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) != "log":
+                continue
+            if id(node) in owner:
+                inside += 1
+            else:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert inside > 0
+
+
+def test_frozen_benchmark_runs_against_this_src(tmp_path, monkeypatch):
+    # bench/ runs the benchmark through the library's API (among others
+    # `EpidemicState.from_array`, `ObserverState.as_array` and
+    # `run_observer` with five arguments), so a change of that API must
+    # fail here and not only in a benchmark run. Eight operations of each
+    # workload and the accuracy panel of one seed run through the bench's
+    # own checks. No bytecode is written under bench/.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        workloads = importlib.import_module("workloads")
+        for name, cls in workloads.WORKLOADS.items():
+            if cls is workloads.Cli:
+                workload = cls(0, tmp_path, in_process=True)
+            else:
+                workload = cls(0)
+            problems = []
+            for i in range(8):
+                inp = workload.prepare(i)
+                problems.append(workload.check(i, inp, workload.run(inp)))
+            problems += workload.final_check()
+            assert [p for p in problems if p is not None] == [], name
+        panel = workloads.accuracy(1)
+    finally:
+        for module in ("workloads", "reference"):
+            sys.modules.pop(module, None)
+    for key, value in panel.items():
+        if key.startswith("rel_err_"):
+            assert math.isfinite(value) and value > 0, key
+    assert 0 < panel["recover_ok_frac"] <= 1
+
+
+def test_inline_cost_study_runs_and_keeps_the_bits(monkeypatch):
+    # studies/inline_cost.py times `integrate` with its RK4 block, which
+    # inlines the field, against a block that calls the field once per
+    # stage. Run small, it must still build both and find the same bits.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = ROOT / "studies" / "inline_cost.py"
+    spec = importlib.util.spec_from_file_location("inline_cost", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    results = study.measure(steps=20, repeats=1)
+    assert sorted(results) == [f"{part} {kind}" for part in ("model", "observer")
+                               for kind in ("full", "simplified")]
+    assert [name for name, (equal, _, _) in results.items() if not equal] == []

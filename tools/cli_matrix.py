@@ -23,9 +23,16 @@ field forms, as registered in linecache), one line each:
 
     generated  <siqr rk4 model>  sha256
 
-so a diff also shows whether the generated hot loop changed. With CASE
-names, only those cases run. The whole matrix starts one process per
-case, one at a time.
+so a diff also shows whether the generated hot loop changed. The
+`library` case runs one process that digests, for the noisy reference
+run of each kind, library entry points that no command reaches: the
+observer's start `Scenario.observer_init` and `observer_rhs` at every
+10th observer state, driven by that row's guarded measurements:
+
+    library  observer_rhs full  sha256
+
+With CASE names, only those cases run. The whole matrix starts one
+process per case, one at a time.
 """
 from __future__ import annotations
 
@@ -72,17 +79,37 @@ for name in sorted(name for name in linecache.cache if name.startswith("<siqr ")
 """
 
 
+# Run with SRC_DIR on sys.path; prints "name  sha256" per library digest.
+_LIBRARY = """\
+import hashlib
+import numpy as np
+from siqr import ModelKind, Scenario, guard_measurements, observer_rhs
+from siqr.cli import estimate_scenario, make_measurements
+for kind in ModelKind:
+    sc = Scenario(kind=kind)
+    _, run = estimate_scenario(sc)
+    guarded, _, _ = guard_measurements(make_measurements(sc, True)[2])
+    init = sc.observer_init(guarded.y1[0], guarded.y2[0])
+    rows = zip(run.trajectory.states[::10], guarded.y1[::10], guarded.y2[::10])
+    rhs = [observer_rhs(x, y1, y2, sc.gain_set(), sc.N, kind) for x, y1, y2 in rows]
+    for name, value in (("observer_init", init), ("observer_rhs", rhs)):
+        data = np.asarray(value, dtype=float).tobytes()
+        print(f"{name} {kind.value}", hashlib.sha256(data).hexdigest(), sep="  ")
+"""
+_SCRIPTS = {"generated": _GENERATED, "library": _LIBRARY}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_generated(src: Path) -> list:
-    """The `generated  name  sha256` lines, one per generated source."""
+def run_script(src: Path, case: str) -> list:
+    """The `case  name  sha256` lines that the one-process case prints."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run(
-        [sys.executable, "-c", _GENERATED], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _SCRIPTS[case]], env=env, capture_output=True, text=True, check=True
     )
-    return [f"generated  {line}" for line in run.stdout.splitlines()]
+    return [f"{case}  {line}" for line in run.stdout.splitlines()]
 
 
 def run_case(src: Path, case: str, config: str, args: list) -> list:
@@ -112,13 +139,13 @@ def main(argv=None) -> int:
         return 2
     src, chosen = Path(argv[0]).resolve(), argv[1:]
     cases = _cases()
-    names = [*cases, "generated"]
+    names = [*cases, *_SCRIPTS]
     unknown = [case for case in chosen if case not in names]
     if unknown:
         print(f"unknown case {unknown[0]!r}; cases: {', '.join(names)}", file=sys.stderr)
         return 2
     for case in chosen or names:
-        lines = run_generated(src) if case == "generated" else run_case(src, case, *cases[case])
+        lines = run_script(src, case) if case in _SCRIPTS else run_case(src, case, *cases[case])
         print("\n".join(lines), flush=True)
     return 0
 
