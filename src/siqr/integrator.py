@@ -7,8 +7,8 @@ smooth and slow over a ten-day horizon, so a fixed step keeps the runs
 deterministic and trivially reproducible. A step works on one Python
 float per state component: on states of 4 and 7 components numpy's
 per-call overhead costs more than the arithmetic, and so does a Python
-call: one call per RK4 stage makes a run 1.33 times as long for the
-model, 1.15-1.18 for the observer (`studies/inline_cost.py`; Python
+call: one call per RK4 stage makes a run 1.39-1.40 times as long for
+the model, 1.21-1.22 for the observer (`studies/inline_cost.py`; Python
 3.11, KVM Xeon). A field's equations are therefore written once, as a
 `FieldBody` compiled to a function, and a `Field` binds its constants.
 `integrate` inlines a `Field` in an RK4 block generated for its body,
@@ -43,6 +43,15 @@ MAX_STEPS = 10**6
 _BLOCK_ROWS = 1024
 
 
+def _finite(name: str, value) -> bool:
+    """Whether `value` is finite. A value that is no real number, or one
+    too large for a float, raises ValueError naming `name`."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step size and final time, both in days.
@@ -56,9 +65,9 @@ class IntegratorConfig:
     horizon: float = 10.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if not (_finite("dt", self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
+        if not (_finite("horizon", self.horizon) and self.horizon >= self.dt):
             raise ValueError(
                 f"horizon must be finite and at least dt = {self.dt!r}, got {self.horizon!r}"
             )
@@ -181,21 +190,23 @@ class Field:
 # loop over the components. Each stage binds the field's inputs to the
 # stage's input row and its state names to the stage state, then runs
 # its body with {dx<i>} filled in by the stage slope _k<stage>_<i>.
-# `{x}` stands for the d names _x<i>. The block's own names start with
-# _, which no body may use.
+# `{xs}` stands for the d names _x<i>, each followed by ", ". The
+# block's own names start with _, which no body may use.
 # The expressions and their order are those of the array form, so a
 # body gives the same bits as numpy RK4 over its callable field. No
-# error handling or storage: `integrate` passes `_extend` for the states.
+# error handling or storage: `integrate` passes `_extend`, which takes
+# each new state as a list (`array.fromlist` checks each value, as
+# `extend` does, and costs less than `extend` of a tuple).
 _RK4_TEMPLATE = """\
 def _rk4_block(_x, _u, _dt, _extend, {constants}):
     _h = 0.5 * _dt
     _c = _dt / 6.0
-    {x} = _x
+    ({xs}) = _x
     for _u_node, _u_mid, _u_next in zip(_u[0::2], _u[1::2], _u[2::2]):
 {stages}
 {step}
-        _extend({x})
-    return {x}
+        _extend([{xs}])
+    return ({xs})
 """
 
 
@@ -205,9 +216,10 @@ def _rk4_block(body: FieldBody):
 
     _rk4_block(_x, _u, _dt, _extend, *constants) takes the state _x as
     floats and the rows _u at the block's 2m + 1 stage times in time
-    order, takes m steps, calls _extend with each new state as a tuple
-    and returns the last one. Step j takes _u[2j] at its first stage,
-    _u[2j + 1] at the two middle ones and _u[2j + 2] at the last.
+    order, takes m steps, calls _extend with each new state as a list
+    and returns the last one as a tuple. Step j takes _u[2j] at its
+    first stage, _u[2j + 1] at the two middle ones and _u[2j + 2] at the
+    last.
     """
     d = body.dim
     stages = []
@@ -220,7 +232,7 @@ def _rk4_block(body: FieldBody):
         stages.append(_fill(bind + body.source, [f"_k{s}_{i}" for i in range(d)], " " * 8))
     source = _RK4_TEMPLATE.format(
         constants=", ".join(body.constants),
-        x=_tuple_of(f"_x{i}" for i in range(d)),
+        xs="".join(f"_x{i}, " for i in range(d)),
         stages="\n".join(stages),
         # Summed in the order of the array form x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4).
         step="\n".join(
@@ -245,7 +257,8 @@ def integrate(rhs: Field, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
     once per block on arrays (ValueError if its result has another
     shape, or if it is missing for a body that reads inputs).
 
-    An exception raised in a step (by the body, or by storing a value
+    Each step is stored by one `array.fromlist` of the new state. An
+    exception raised in a step (by the body, or by `fromlist` at a value
     that is no real number) is re-raised from itself as its type with
     the step's time added to the message, or unchanged if its type takes
     more than a message. A state that stops being finite raises
@@ -292,7 +305,7 @@ def integrate(rhs: Field, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
                 u = u.tolist()
             rows = array("d")
             try:
-                x = rk4_block(x, u, dt, rows.extend, *rhs.constants)
+                x = rk4_block(x, u, dt, rows.fromlist, *rhs.constants)
             except Exception as exc:  # noqa: BLE001 - context is the point
                 # The step after the rows written failed (a field of no
                 # components writes none: the block's start).
@@ -305,9 +318,10 @@ def integrate(rhs: Field, x0, cfg: IntegratorConfig, inputs=None) -> Trajectory:
                     raise timed from exc
                 raise
             states[start + 1 : stop + 1] = np.frombuffer(rows).reshape(stop - start, d)
-    bad = np.argwhere(~np.isfinite(states))  # row-major: first step, then component
-    if bad.size:
-        step, component = bad[0].tolist()
+    finite = np.isfinite(states)
+    if not finite.all():
+        # Row-major: the first step, then its first component.
+        step, component = np.argwhere(~finite)[0].tolist()
         t_bad = float(times[step])
         msg = f"state component {component} became non-finite at t={t_bad:.6g}"
         raise DivergenceError(msg, time=t_bad, component=component)

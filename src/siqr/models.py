@@ -11,10 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
-from .integrator import Field, FieldBody
+from .integrator import Field, FieldBody, _finite
 
 __all__ = [
     "ModelKind",
@@ -61,7 +59,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("beta", "rho", "alpha", "N"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if not (_finite(name, value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
@@ -89,7 +87,7 @@ _SIQR = FieldBody(
     source="""\
 if full:
     pool = N - Q
-    if pool <= 0:
+    if pool <= 0.0:
         raise DomainError(f"full model needs Q < N, got Q={Q!r} with N={N!r}")
 else:
     pool = N

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .integrator import Trajectory
+from .integrator import Trajectory, _finite
 from .models import EpidemicState, ModelKind, ModelParams, is_full
 
 __all__ = [
@@ -68,7 +68,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.relative_sigma) and self.relative_sigma >= 0):
+        if not (_finite("relative_sigma", self.relative_sigma) and self.relative_sigma >= 0):
             raise ValueError(
                 f"relative_sigma must be finite and non-negative, got {self.relative_sigma!r}"
             )

@@ -55,7 +55,7 @@ def called_block(body):
         stages.append(_STAGE.format(bind=bind, k=k, args=", ".join([*x, *u])))
     source = integrator._RK4_TEMPLATE.format(
         constants="_f",
-        x=integrator._tuple_of(f"_x{i}" for i in range(d)),
+        xs="".join(f"_x{i}, " for i in range(d)),
         stages="\n".join(stages),
         step="\n".join(
             f"        _x{i} = _x{i} + _c * (_k1_{i} + 2.0 * _k2_{i} + 2.0 * _k3_{i} + _k4_{i})"
@@ -72,10 +72,11 @@ def called_block(body):
 
 
 @contextmanager
-def calling_blocks():
-    """Within it, `integrate` runs the called block in place of the inlined one."""
+def running_blocks(build):
+    """Within it, `integrate` runs the block that `build(body)` returns
+    in place of the inlined one."""
     inlined = integrator._rk4_block
-    integrator._rk4_block = called_block
+    integrator._rk4_block = build
     try:
         yield
     finally:
@@ -113,12 +114,12 @@ def measure(steps: int = 1000, repeats: int = 60) -> dict:
     results = {}
     for name, (field, x0, cfg, inputs) in cases(steps).items():
         inlined_states = integrate(field, x0, cfg, inputs).states
-        with calling_blocks():
+        with running_blocks(called_block):
             called_states = integrate(field, x0, cfg, inputs).states
         times = {"inlined": [], "called": []}
         for r in range(repeats):
             for form in ("inlined", "called") if r % 2 == 0 else ("called", "inlined"):
-                with calling_blocks() if form == "called" else nullcontext():
+                with running_blocks(called_block) if form == "called" else nullcontext():
                     start = time.perf_counter()
                     integrate(field, x0, cfg, inputs)
                     times[form].append(time.perf_counter() - start)

@@ -408,6 +408,14 @@ def test_config_validation():
     assert cfg.times.size == 1001
 
 
+@pytest.mark.parametrize("field", ["dt", "horizon"])
+@pytest.mark.parametrize("value", ["0.4", 10**400, np.array([0.1, 0.2])])
+def test_config_value_that_is_no_finite_real_number_names_the_field(field, value):
+    # math.isfinite alone raises TypeError or OverflowError, naming no field.
+    with pytest.raises(ValueError, match=f"^{field} must be a finite real number, got "):
+        IntegratorConfig(**{"dt": 0.1, "horizon": 1.0, field: value})
+
+
 def _calls_of(code, run):
     """run() and the number of calls of `code` it made."""
     calls = 0

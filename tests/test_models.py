@@ -177,3 +177,12 @@ def test_params_must_be_positive(field):
     values[field] = -1.0
     with pytest.raises(ValueError, match=field):
         ModelParams(**values)
+
+
+@pytest.mark.parametrize("value", ["0.4", 10**400, np.array([0.1, 0.2])])
+def test_params_that_are_no_finite_real_number_name_the_field(value):
+    # A string, an int too large for a float and an array of two would
+    # raise TypeError or OverflowError naming no field.
+    values = {"beta": 0.4, "rho": value, "alpha": 0.07, "N": 1e5}
+    with pytest.raises(ValueError, match="^rho must be a finite real number, got "):
+        ModelParams(**values)

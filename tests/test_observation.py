@@ -294,6 +294,14 @@ def test_add_noise_that_overflows_names_the_channel_and_its_first_time():
     assert excinfo.value.time == 1.0
 
 
+@pytest.mark.parametrize("value", ["0.4", 10**400, np.array([0.1, 0.2])])
+def test_noise_sigma_that_is_no_finite_real_number_names_the_field(value):
+    # np.isfinite raised TypeError for these, and math.isfinite alone
+    # raises TypeError or OverflowError: neither names the field.
+    with pytest.raises(ValueError, match="^relative_sigma must be a finite real number, got "):
+        NoiseSpec(relative_sigma=value)
+
+
 def test_moving_average_window_one_is_identity():
     x = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
     assert np.array_equal(moving_average(x, 1), x)

@@ -1,7 +1,6 @@
 import ast
 import hashlib
 import importlib
-import importlib.util
 import inspect
 import math
 import pkgutil
@@ -11,7 +10,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import siqr
+from siqr.models import _SIQR
+from siqr.observer import _OBSERVER
 from siqr.scenario import _KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,6 +140,23 @@ def test_src_takes_logs_only_in_the_observer_input_map():
     assert inside > 0
 
 
+def test_field_bodies_hold_no_int_literal():
+    # The bodies run on Python floats. CPython 3.11 specializes a compare
+    # or an arithmetic op of two floats, not of a float and an int:
+    # `pool <= 0` costs about 20 ns a stage more than `pool <= 0.0`.
+    # {dx<i>} is parsed as a subscript dx[i], whose index is no literal
+    # of the body.
+    for body in (_SIQR, _OBSERVER):
+        tree = ast.parse(re.sub(r"\{dx(\d+)\}", r"dx[\1]", body.source))
+        slots = {id(node.slice) for node in ast.walk(tree) if isinstance(node, ast.Subscript)}
+        ints = [
+            f"line {node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is int and id(node) not in slots
+        ]
+        assert ints == [], body.name
+
+
 def test_frozen_benchmark_runs_against_this_src(tmp_path, monkeypatch):
     # bench/ runs the benchmark through the library's API (among others
     # `EpidemicState.from_array`, `ObserverState.as_array` and
@@ -169,16 +189,23 @@ def test_frozen_benchmark_runs_against_this_src(tmp_path, monkeypatch):
     assert 0 < panel["recover_ok_frac"] <= 1
 
 
-def test_inline_cost_study_runs_and_keeps_the_bits(monkeypatch):
+@pytest.mark.parametrize("script", ["inline_cost", "step_storage"])
+def test_study_runs_and_keeps_the_bits(monkeypatch, script):
     # studies/inline_cost.py times `integrate` with its RK4 block, which
     # inlines the field, against a block that calls the field once per
-    # stage. Run small, it must still build both and find the same bits.
+    # stage. studies/step_storage.py times it against a block that
+    # stores a step by `extend` of a tuple, and against bodies that
+    # compare against the int 0. Run small, each must still build its
+    # forms and find the same bits. step_storage imports inline_cost's
+    # cases from the studies directory.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = ROOT / "studies" / "inline_cost.py"
-    spec = importlib.util.spec_from_file_location("inline_cost", path)
-    study = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(study)
-    results = study.measure(steps=20, repeats=1)
+    monkeypatch.syspath_prepend(str(ROOT / "studies"))
+    try:
+        study = importlib.import_module(script)
+        results = study.measure(steps=20, repeats=1)
+    finally:
+        for module in ("inline_cost", "step_storage"):
+            sys.modules.pop(module, None)
     assert sorted(results) == [f"{part} {kind}" for part in ("model", "observer")
                                for kind in ("full", "simplified")]
     assert [name for name, (equal, _, _) in results.items() if not equal] == []
