@@ -82,7 +82,7 @@ class NoiseSpec:
 
 def observe(traj: Trajectory, alpha: float) -> OutputSeries:
     """Project an SIQR trajectory onto the measured outputs."""
-    if not (np.isfinite(alpha) and alpha > 0):
+    if not (_finite("alpha", alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and strictly positive, got {alpha!r}")
     return OutputSeries(
         times=traj.times,
@@ -91,72 +91,54 @@ def observe(traj: Trajectory, alpha: float) -> OutputSeries:
     )
 
 
-def _taylor_coefficients(state, params, kind):
-    """Taylor coefficients of (S, I, Q) around the given state, as lists
-    of Python floats: S and Q to order 2, I to order 3.
-
-    Entry k holds the k-th coefficient, i.e. the k-th time derivative
-    divided by k!. Obtained by the standard recurrence x_{k+1} =
-    [rhs(x)]_k / (k+1) over truncated series arithmetic; the only
-    non-polynomial operation is the division by N - Q in the full model.
-    The jet needs no S or Q coefficient of order 3, so the last order
-    computes I's only.
-
-    The arithmetic runs on Python floats, which cost far less per
-    operation than numpy scalars. Each sum of products is taken left to
-    right in a fixed order, so the coefficients' bits depend on this
-    code alone.
-    """
-    beta, rho, alpha = float(params.beta), float(params.rho), float(params.alpha)
-    N = float(params.N)
-    s0, i0, q0, _ = state
-    S, I, Q = [float(s0)], [float(i0)], [float(q0)]
-    full = is_full(kind)
-    if full:
-        pool0 = N - Q[0]
-        if pool0 <= 0:
-            raise DomainError(
-                f"full model needs Q < N, got Q={q0!r} with N={params.N!r}"
-            )
-        G = []  # coefficients of S*I/(N - Q)
-    for k in range(3):
-        si_k = S[0] * I[k]
-        for j in range(1, k + 1):
-            si_k += S[j] * I[k - j]
-        if full:
-            # (N - Q) * G = S*I, solved coefficient by coefficient.
-            correction = Q[1] * G[k - 1] if k else 0.0
-            for j in range(2, k + 1):
-                correction += Q[j] * G[k - j]
-            G.append((si_k + correction) / pool0)
-            infection_k = beta * G[k]
-        else:
-            infection_k = beta * si_k / N
-        I.append((infection_k - alpha * I[k] - rho * I[k]) / (k + 1))
-        if k < 2:
-            S.append(-infection_k / (k + 1))
-            Q.append((alpha * I[k] - rho * Q[k]) / (k + 1))
-    return S, I, Q
-
-
 def output_jets(
     state: EpidemicState, params: ModelParams, kind: ModelKind, t: float = 0.0
 ) -> OutputJet:
     """Exact output derivatives at a state (S, I, Q, R), any length-4
     sequence, by repeated total differentiation.
 
-    Every field of the jet, `t` included, is a Python float. Its sums
-    are taken in a fixed order, so the bits depend on the code and not
-    on the BLAS build. Raises ValueError if `kind` is not a `ModelKind`,
-    and DomainError for the full model at Q >= N.
+    The Taylor coefficients of (S, I, Q) come from the recurrence
+    x_{k+1} = [rhs(x)]_k / (k+1) over truncated series arithmetic, S and
+    Q to order 2 and I to order 3, written out order by order. The only
+    non-polynomial operation is the full model's G = S*I/(N - Q), solved
+    from (N - Q) * G = S*I coefficient by coefficient. Each sum of
+    products runs left to right, on Python floats, which cost far less
+    per operation than numpy scalars; so the bits depend on this code and
+    not on the BLAS build. Order 0 leaves out the exact division by 1, but
+    keeps the full model's `+ 0.0`, its empty correction sum: it turns
+    S*I = -0.0 into +0.0.
+
+    Every field of the jet, `t` included, is a Python float. Raises
+    ValueError if `kind` is not a `ModelKind`, and DomainError for the
+    full model at Q >= N.
     """
-    _, I, Q = _taylor_coefficients(state, params, kind)
-    a = float(params.alpha)
+    beta, rho, a, N = float(params.beta), float(params.rho), float(params.alpha), float(params.N)
+    s0, i0, q0, _ = state
+    S0, I0, Q0 = float(s0), float(i0), float(q0)
+    # f_k is the k-th coefficient of the infection term beta*S*I/(N - Q)
+    # or beta*S*I/N; the k-th coefficients of S, I, Q's fields give their
+    # (k+1)-th.
+    if is_full(kind):
+        pool = N - Q0
+        if pool <= 0.0:
+            raise DomainError(f"full model needs Q < N, got Q={q0!r} with N={params.N!r}")
+        G0 = (S0 * I0 + 0.0) / pool
+        f0 = beta * G0
+        S1, I1, Q1 = -f0, f0 - a * I0 - rho * I0, a * I0 - rho * Q0
+        G1 = (S0 * I1 + S1 * I0 + Q1 * G0) / pool
+        f1 = beta * G1
+        S2, I2, Q2 = -f1 / 2, (f1 - a * I1 - rho * I1) / 2, (a * I1 - rho * Q1) / 2
+        f2 = beta * ((S0 * I2 + S1 * I1 + S2 * I0 + (Q1 * G1 + Q2 * G0)) / pool)
+    else:
+        f0 = beta * (S0 * I0) / N
+        S1, I1, Q1 = -f0, f0 - a * I0 - rho * I0, a * I0 - rho * Q0
+        f1 = beta * (S0 * I1 + S1 * I0) / N
+        S2, I2, Q2 = -f1 / 2, (f1 - a * I1 - rho * I1) / 2, (a * I1 - rho * Q1) / 2
+        f2 = beta * (S0 * I2 + S1 * I1 + S2 * I0) / N
+    I3 = (f2 - a * I2 - rho * I2) / 3
     # Positional: a NamedTuple built by keyword costs about as much as a
     # frozen dataclass.
-    return OutputJet(
-        float(t), a * I[0], a * I[1], 2.0 * a * I[2], 6.0 * a * I[3], Q[0], Q[1], 2.0 * Q[2]
-    )
+    return OutputJet(float(t), a * I0, a * I1, 2.0 * a * I2, 6.0 * a * I3, Q0, Q1, 2.0 * Q2)
 
 
 def add_noise(series: OutputSeries, spec: NoiseSpec) -> OutputSeries:
@@ -173,8 +155,8 @@ def add_noise(series: OutputSeries, spec: NoiseSpec) -> OutputSeries:
     with np.errstate(over="ignore"):  # the overflow is reported below
         y1 = series.y1 * (1.0 + rng.normal(0.0, spec.relative_sigma, n))
         y2 = series.y2 * (1.0 + rng.normal(0.0, spec.relative_sigma, n))
-    bad = np.argwhere(~np.isfinite(np.column_stack([y1, y2])))  # first time, then channel
-    if bad.size:
+    if not (np.isfinite(y1).all() and np.isfinite(y2).all()):
+        bad = np.argwhere(~np.isfinite(np.column_stack([y1, y2])))  # first time, then channel
         t = float(series.times[bad[0, 0]])
         raise DivergenceError(f"noisy y{bad[0, 1] + 1} became non-finite at t={t:.6g}", time=t)
     return OutputSeries(

@@ -21,11 +21,10 @@ so on noisy data the seed vector is the safer setting.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .integrator import IntegratorConfig
+from .integrator import IntegratorConfig, _finite
 from .models import EpidemicState, ModelKind, ModelParams, is_full
 from .observation import NoiseSpec, check_window
 from .observer import GainSet, ObserverState, _inputs, gains
@@ -85,10 +84,10 @@ class Scenario:
                 # Each part's message starts with its field's name, so
                 # "beta must be ..." reads "params.beta must be ...".
                 raise ConfigError(f"{prefix}.{exc}") from exc
-        if not (math.isfinite(self.I0) and self.I0 > 0):
+        if not (_finite_key("init.I0", self.I0) and self.I0 > 0):
             raise ConfigError(f"init.I0 must be finite and strictly positive, got {self.I0!r}")
         for key, value in (("init.Q0", self.Q0), ("init.R0", self.R0)):
-            if not (math.isfinite(value) and value >= 0):
+            if not (_finite_key(key, value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and non-negative, got {value!r}")
         if not self.initial_state().S > 0:
             raise ConfigError("initial compartments exceed the population size params.N")
@@ -98,7 +97,7 @@ class Scenario:
             raise ConfigError(f"smooth.{exc}") from exc
         for name in ("delta0", "rho0", "v0", "k0"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not _finite_key(f"observer.{name}", value):
                 raise ConfigError(f"observer.{name} must be finite, got {value!r}")
 
     def params(self) -> ModelParams:
@@ -122,6 +121,14 @@ class Scenario:
         first measurements (y1_0, y2_0), the rest from the guesses."""
         y1, _, z1, z2 = _inputs([y1_0], [y2_0])[0].tolist()
         return ObserverState(z1, z2, self.delta0, self.rho0, y1, self.v0, self.k0)
+
+
+def _finite_key(key, value) -> bool:
+    """`integrator._finite`, raising a ConfigError that names the key."""
+    try:
+        return _finite(key, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_floats(text):

@@ -163,6 +163,20 @@ def test_library_checks_read_with_the_scenario_key(field, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("value", ["1", 10**400], ids=["str", "10**400"])
+@pytest.mark.parametrize(
+    "field, key",
+    [("I0", "init.I0"), ("Q0", "init.Q0"), ("R0", "init.R0"), ("delta0", "observer.delta0"),
+     ("rho0", "observer.rho0"), ("v0", "observer.v0"), ("k0", "observer.k0")],
+)
+def test_count_or_guess_that_is_no_finite_real_number_names_the_key(field, key, value):
+    # math.isfinite alone raised TypeError for "1" and OverflowError for
+    # 10**400, neither naming the key.
+    with pytest.raises(ConfigError) as info:
+        Scenario(**{field: value})
+    assert str(info.value) == f"{key} must be a finite real number, got {value!r}"
+
+
 def test_window_wider_than_the_series_fails_estimate_only(tmp_path, capsys):
     # Only estimate smooths, so only estimate checks the window's fit.
     config = tmp_path / "scenario.cfg"

@@ -49,10 +49,13 @@ def test_observe_zero_infected():
     assert np.all(series.y1 == 0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "alpha", [0.0, -1.0, float("nan"), float("inf"), "1", pytest.param(10**400, id="10**400")]
+)
 def test_observe_rejects_alpha_that_is_not_finite_and_positive(alpha):
     # The rule of ModelParams: a nan or inf rate would give non-finite
-    # measurements instead of an error.
+    # measurements instead of an error. np.isfinite raised TypeError for
+    # "1" and OverflowError for 10**400, neither naming alpha.
     traj = reference_trajectory(ModelKind.SIMPLIFIED, horizon=1.0)
     with pytest.raises(ValueError, match="^alpha must be"):
         observe(traj, alpha)
@@ -76,9 +79,9 @@ def test_jet_quarantine_identities_along_trajectory(kind):
 
 def _array_jet(state, params, kind, t):
     """The jet from the Taylor recurrence on float64 arrays, as (t, y1,
-    ..., d2y2): the oracle for the bits of `output_jets`, which runs the
-    recurrence on Python floats in a loop over the orders. Here each
-    order's sums are written out left to right on numpy float64 scalars,
+    ..., d2y2): the oracle for the bits of `output_jets`, which writes the
+    recurrence out order by order on Python floats. Here each order's
+    sums are written out left to right on numpy float64 scalars,
     which round every operation once, so no BLAS build changes them."""
     beta, rho, alpha, N = (np.float64(v) for v in (params.beta, params.rho, params.alpha, params.N))
     S, I, Q, G = np.zeros(3), np.zeros(4), np.zeros(3), np.zeros(3)

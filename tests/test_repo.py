@@ -107,7 +107,7 @@ def test_cli_matrix_digests_a_case():
         *(["generated", f"<siqr {form} {body}>"] for form in ("field", "rk4")
           for body in ("model", "observer")),
         *(["library", f"{name} {kind}"] for kind in ("full", "simplified")
-          for name in ("observer_init", "observer_rhs")),
+          for name in ("observer_init", "observer_rhs", "output_jets", "recover")),
     ]
     digests = {name: digest for _, name, digest in lines}
     assert digests["stderr"] == hashlib.sha256(b"").hexdigest()
@@ -189,23 +189,30 @@ def test_frozen_benchmark_runs_against_this_src(tmp_path, monkeypatch):
     assert 0 < panel["recover_ok_frac"] <= 1
 
 
-@pytest.mark.parametrize("script", ["inline_cost", "step_storage"])
+_RK4_CASES = [f"{part} {kind}" for part in ("model", "observer") for kind in ("full", "simplified")]
+# {study: the cases its `measure` reports}
+_STUDIES = {"inline_cost": _RK4_CASES, "step_storage": _RK4_CASES,
+            "jet_form": ["jet full", "jet simplified"]}
+
+
+@pytest.mark.parametrize("script", list(_STUDIES))
 def test_study_runs_and_keeps_the_bits(monkeypatch, script):
     # studies/inline_cost.py times `integrate` with its RK4 block, which
     # inlines the field, against a block that calls the field once per
     # stage. studies/step_storage.py times it against a block that
     # stores a step by `extend` of a tuple, and against bodies that
-    # compare against the int 0. Run small, each must still build its
-    # forms and find the same bits. step_storage imports inline_cost's
-    # cases from the studies directory.
+    # compare against the int 0. studies/jet_form.py times `output_jets`
+    # against the recurrence in a loop over the orders. Run small (20
+    # steps, or 20 drawn states), each must still build its forms and
+    # find the same bits. step_storage imports inline_cost's cases from
+    # the studies directory.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "studies"))
     try:
         study = importlib.import_module(script)
-        results = study.measure(steps=20, repeats=1)
+        results = study.measure(20, repeats=1)
     finally:
-        for module in ("inline_cost", "step_storage"):
+        for module in _STUDIES:
             sys.modules.pop(module, None)
-    assert sorted(results) == [f"{part} {kind}" for part in ("model", "observer")
-                               for kind in ("full", "simplified")]
+    assert sorted(results) == _STUDIES[script]
     assert [name for name, (equal, _, _) in results.items() if not equal] == []

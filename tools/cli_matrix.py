@@ -24,12 +24,17 @@ field forms, as registered in linecache), one line each:
     generated  <siqr rk4 model>  sha256
 
 so a diff also shows whether the generated hot loop changed. The
-`library` case runs one process that digests, for the noisy reference
-run of each kind, library entry points that no command reaches: the
+`library` case runs one process that digests, for each kind, library
+entry points that no command reaches (`identify --t` reaches one jet).
+On the noisy reference run: the
 observer's start `Scenario.observer_init` and `observer_rhs` at every
-10th observer state, driven by that row's guarded measurements:
+10th observer state, driven by that row's guarded measurements. On the
+noise-free reference run over 20 days: `output_jets` at every 10th
+state, and the recovery at each of those jets, its returned values or
+the class name of what it raised:
 
     library  observer_rhs full  sha256
+    library  recover full  sha256
 
 With CASE names, only those cases run. The whole matrix starts one
 process per case, one at a time.
@@ -83,8 +88,9 @@ for name in sorted(name for name in linecache.cache if name.startswith("<siqr ")
 _LIBRARY = """\
 import hashlib
 import numpy as np
-from siqr import ModelKind, Scenario, guard_measurements, observer_rhs
-from siqr.cli import estimate_scenario, make_measurements
+from siqr import (ModelKind, Scenario, guard_measurements, observer_rhs, output_jets,
+                  recover_full, recover_simplified)
+from siqr.cli import estimate_scenario, make_measurements, simulate_truth
 for kind in ModelKind:
     sc = Scenario(kind=kind)
     _, run = estimate_scenario(sc)
@@ -92,9 +98,21 @@ for kind in ModelKind:
     init = sc.observer_init(guarded.y1[0], guarded.y2[0])
     rows = zip(run.trajectory.states[::10], guarded.y1[::10], guarded.y2[::10])
     rhs = [observer_rhs(x, y1, y2, sc.gain_set(), sc.N, kind) for x, y1, y2 in rows]
-    for name, value in (("observer_init", init), ("observer_rhs", rhs)):
+    truth = simulate_truth(Scenario(kind=kind, horizon=20.0))
+    rows = zip(truth.states[::10].tolist(), truth.times[::10].tolist())
+    jets = [output_jets(x, sc.params(), kind, t=t) for x, t in rows]
+    recover = recover_full if kind is ModelKind.FULL else recover_simplified
+    recovered = []
+    for jet in jets:
+        try:
+            recovered.append(repr(tuple(recover(jet, sc.alpha * sc.I0, sc.N))))
+        except ValueError as exc:
+            recovered.append(type(exc).__name__)
+    for name, value in (("observer_init", init), ("observer_rhs", rhs), ("output_jets", jets)):
         data = np.asarray(value, dtype=float).tobytes()
         print(f"{name} {kind.value}", hashlib.sha256(data).hexdigest(), sep="  ")
+    data = "\\n".join(recovered).encode()
+    print(f"recover {kind.value}", hashlib.sha256(data).hexdigest(), sep="  ")
 """
 _SCRIPTS = {"generated": _GENERATED, "library": _LIBRARY}
 
