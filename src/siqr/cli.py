@@ -105,7 +105,8 @@ def simulate_truth(scenario: Scenario):
 
 
 def make_measurements(scenario: Scenario, noisy: bool):
-    """Clean and (optionally) noise-corrupted output series."""
+    """Truth, clean and measured output series. Noise is drawn only if
+    `noisy` and relative_sigma > 0: `check` needs no draw, which can overflow."""
     traj = simulate_truth(scenario)
     clean = observe(traj, scenario.alpha)
     if noisy and scenario.relative_sigma > 0:
@@ -113,7 +114,7 @@ def make_measurements(scenario: Scenario, noisy: bool):
     return traj, clean, clean
 
 
-def estimate_scenario(scenario: Scenario, noisy: bool = True):
+def estimate_scenario(scenario: Scenario):
     """Simulate, measure and run the observer as `siqr estimate` does.
 
     The observer's flow block models the scenario's model kind, and its
@@ -121,7 +122,7 @@ def estimate_scenario(scenario: Scenario, noisy: bool = True):
     ones may have been noise-clamped to zero). Returns (truth
     trajectory, observer run).
     """
-    traj, _, measurements = make_measurements(scenario, noisy)
+    traj, _, measurements = make_measurements(scenario, True)
     guarded, _, _ = guard_measurements(measurements)
     init = scenario.observer_init(guarded.y1[0], guarded.y2[0])
     run = run_observer(
@@ -142,8 +143,8 @@ def cmd_simulate(scenario: Scenario) -> Path:
     return path
 
 
-def cmd_observe(scenario: Scenario, noisy: bool = True) -> Path:
-    _, clean, noised = make_measurements(scenario, noisy)
+def cmd_observe(scenario: Scenario) -> Path:
+    _, clean, noised = make_measurements(scenario, True)
     path = _out_dir(scenario) / "measurements.csv"
     _write_csv(
         path,
@@ -153,13 +154,13 @@ def cmd_observe(scenario: Scenario, noisy: bool = True) -> Path:
     return path
 
 
-def cmd_estimate(scenario: Scenario, noisy: bool = True):
+def cmd_estimate(scenario: Scenario):
     """Run the observer over the scenario's measurements.
 
     Writes estimates.csv and summary.txt, prints the summary, and
     returns (run, truth trajectory, smoothed infected estimate).
     """
-    traj, run = estimate_scenario(scenario, noisy)
+    traj, run = estimate_scenario(scenario)
     est = run.estimates
     try:
         i_hat_smoothed = moving_average(est.I_hat, scenario.smooth_window)
@@ -239,18 +240,20 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="scenario file (flat key = value lines)")
     parser.add_argument("--t", type=float, default=None, help="recovery instant (identify only)")
     parser.add_argument(
-        "--no-noise", action="store_true", help="disable measurement noise for this run"
+        "--no-noise", action="store_true", help="run with noise.relative_sigma = 0"
     )
     args = parser.parse_args(argv)
 
     try:
         scenario = load_scenario(args.config)
+        if args.no_noise:
+            scenario = dataclasses.replace(scenario, relative_sigma=0.0)
         if args.command == "simulate":
             cmd_simulate(scenario)
         elif args.command == "observe":
-            cmd_observe(scenario, noisy=not args.no_noise)
+            cmd_observe(scenario)
         elif args.command == "estimate":
-            cmd_estimate(scenario, noisy=not args.no_noise)
+            cmd_estimate(scenario)
         elif args.command == "identify":
             if args.t is None:
                 raise ConfigError("identify needs --t INSTANT")

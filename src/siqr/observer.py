@@ -23,13 +23,14 @@ estimated as y1/alpha.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MeasurementError
-from .integrator import Field, FieldBody, IntegratorConfig, Trajectory, integrate
+from .integrator import Field, FieldBody, IntegratorConfig, Trajectory, _finite, integrate
 from .models import ModelKind, is_full
 from .observation import OutputSeries
 
@@ -67,21 +68,26 @@ class GainSet:
     decay_bound: float
 
 
+def _pole_vector(name: str, poles, arity: int) -> tuple:
+    """`poles` as `arity` finite positive floats, or a ValueError naming `name`."""
+    if not (isinstance(poles, Sequence) or np.ndim(poles) == 1):  # a list, tuple or 1-D array
+        raise ValueError(f"{name} must be a sequence of {arity} poles, got {poles!r}")
+    if len(poles) != arity:
+        raise ValueError(f"{name} must have {arity} entries, got {len(poles)}")
+    if not all(_finite(name, p) and float(p) > 0 for p in poles):
+        raise ValueError(f"{name} entries must be finite and strictly positive, got {poles!r}")
+    return tuple(map(float, poles))
+
+
 def gains(lam, mu) -> GainSet:
     """Gain vector from 4 + 3 finite positive pole values.
 
     Each ValueError message starts with the name of the pole vector at
     fault, `lambda` or `mu`.
     """
-    lam = tuple(float(v) for v in lam)
-    mu = tuple(float(v) for v in mu)
-    for name, poles, arity in (("lambda", lam, 4), ("mu", mu, 3)):
-        if len(poles) != arity:
-            raise ValueError(f"{name} must have {arity} entries, got {len(poles)}")
-        if not all(math.isfinite(p) and p > 0 for p in poles):
-            raise ValueError(f"{name} entries must be finite and strictly positive, got {poles!r}")
-    s1, s2, s3, s4 = map(float, _poly_from_poles(lam)[1:])
-    m1, m2, m3 = map(float, _poly_from_poles(mu)[1:])
+    lam, mu = _pole_vector("lambda", lam, 4), _pole_vector("mu", mu, 3)
+    s1, s2, s3, s4 = map(float, np.poly(np.negative(lam))[1:])
+    m1, m2, m3 = map(float, np.poly(np.negative(mu))[1:])
     K = (s1, s1 + s3, -s4, -(s2 + s4 + 1.0), m1, m2, -m3)
     return GainSet(lam=lam, mu=mu, K=K, decay_bound=min(min(lam), min(mu)))
 
@@ -396,13 +402,6 @@ def char_poly(M) -> np.ndarray:
     return out
 
 
-def _poly_from_poles(poles) -> np.ndarray:
-    prod = np.array([1.0])
-    for p in poles:
-        prod = np.convolve(prod, np.array([1.0, float(p)]))
-    return prod
-
-
 def _coeff_error(p, target) -> float:
     """The largest relative error of the coefficients p against target."""
     # A coefficient equal to its target counts 0, with no division: tiny
@@ -420,8 +419,8 @@ def verify_pole_placement(lam, mu, N: float) -> dict:
     against prod(s + mu_j), coefficient by coefficient.
     """
     gs = gains(lam, mu)
-    err1 = _coeff_error(char_poly(assemble_m1(gs)), _poly_from_poles(gs.lam))
-    err2 = _coeff_error(char_poly(assemble_m2(gs, N)), _poly_from_poles(gs.mu))
+    err1 = _coeff_error(char_poly(assemble_m1(gs)), np.poly(np.negative(gs.lam)))
+    err2 = _coeff_error(char_poly(assemble_m2(gs, N)), np.poly(np.negative(gs.mu)))
     return {
         "m1_ok": err1 < 1e-9,
         "m2_ok": err2 < 1e-9,

@@ -40,13 +40,13 @@ REFERENCE_MU = tuple(m / min(DEFAULT_MU) for m in DEFAULT_MU)
 class Scenario:
     """One run's settings, valid by construction.
 
-    Construction builds each part once, only to check its ranges, and
-    turns its ValueError into a ConfigError naming the scenario key;
-    `params()`, `integrator_config()`, `noise_spec()` and `gain_set()`
-    build a new ModelParams, IntegratorConfig, NoiseSpec and GainSet at
-    each call. `is_full` checks the kind and `check_window` the
-    smoothing window (`estimate` checks that it fits); the rules no part
-    owns, on the initial counts and observer guesses, are checked here.
+    Construction runs one check per section, in the document's order:
+    the kind, each part (built once, only to check its ranges), the
+    initial counts, the smoothing window and the observer guesses. A
+    check's ValueError starts with its field's name and becomes a
+    ConfigError naming the key. `params()`, `integrator_config()`,
+    `noise_spec()` and `gain_set()` build a new part at each call.
+    `relative_sigma = 0` is a noise-free run, as `--no-noise` sets.
     """
 
     kind: ModelKind = ModelKind.FULL
@@ -71,34 +71,38 @@ class Scenario:
     out_dir: str = "out"
 
     def __post_init__(self):
-        for prefix, build in (
+        for prefix, check in (
             ("model", lambda: is_full(self.kind)),
             ("params", self.params),
             ("sim", self.integrator_config),
             ("noise", self.noise_spec),
             ("poles", self.gain_set),
+            ("init", self._check_init),
+            ("smooth", lambda: check_window(self.smooth_window)),
+            ("observer", self._check_guesses),
         ):
             try:
-                build()
+                check()
             except ValueError as exc:
-                # Each part's message starts with its field's name, so
+                # Each check's message starts with its field's name, so
                 # "beta must be ..." reads "params.beta must be ...".
                 raise ConfigError(f"{prefix}.{exc}") from exc
-        if not (_finite_key("init.I0", self.I0) and self.I0 > 0):
-            raise ConfigError(f"init.I0 must be finite and strictly positive, got {self.I0!r}")
-        for key, value in (("init.Q0", self.Q0), ("init.R0", self.R0)):
-            if not (_finite_key(key, value) and value >= 0):
-                raise ConfigError(f"{key} must be finite and non-negative, got {value!r}")
+
+    def _check_init(self) -> None:
+        if not (_finite("I0", self.I0) and self.I0 > 0):
+            raise ValueError(f"I0 must be finite and strictly positive, got {self.I0!r}")
+        for name in ("Q0", "R0"):
+            value = getattr(self, name)
+            if not (_finite(name, value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if not self.initial_state().S > 0:
-            raise ConfigError("initial compartments exceed the population size params.N")
-        try:
-            check_window(self.smooth_window)
-        except ValueError as exc:
-            raise ConfigError(f"smooth.{exc}") from exc
+            raise ValueError("I0 + Q0 + R0 must be below the population size params.N")
+
+    def _check_guesses(self) -> None:
         for name in ("delta0", "rho0", "v0", "k0"):
             value = getattr(self, name)
-            if not _finite_key(f"observer.{name}", value):
-                raise ConfigError(f"observer.{name} must be finite, got {value!r}")
+            if not _finite(name, value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def params(self) -> ModelParams:
         return ModelParams(beta=self.beta, rho=self.rho, alpha=self.alpha, N=self.N)
@@ -121,14 +125,6 @@ class Scenario:
         first measurements (y1_0, y2_0), the rest from the guesses."""
         y1, _, z1, z2 = _inputs([y1_0], [y2_0])[0].tolist()
         return ObserverState(z1, z2, self.delta0, self.rho0, y1, self.v0, self.k0)
-
-
-def _finite_key(key, value) -> bool:
-    """`integrator._finite`, raising a ConfigError that names the key."""
-    try:
-        return _finite(key, value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _parse_floats(text):

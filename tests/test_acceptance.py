@@ -14,6 +14,7 @@ alpha_hat off by about 2e4 relative. Run with
 `pytest tests/test_acceptance.py -v -s`.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -133,7 +134,7 @@ def test_criterion_3_identifiability_round_trip_simplified():
 
 def _reference_estimation(noisy):
     sc = Scenario()
-    traj, run = estimate_scenario(sc, noisy)
+    traj, run = estimate_scenario(sc if noisy else replace(sc, relative_sigma=0.0))
     return sc, traj, run
 
 

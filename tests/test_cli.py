@@ -177,6 +177,25 @@ def test_count_or_guess_that_is_no_finite_real_number_names_the_key(field, key, 
     assert str(info.value) == f"{key} must be a finite real number, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("lam", None, "poles.lambda"),
+        ("lam", (10**400, 1, 1, 1), "poles.lambda"),
+        ("lam", ("x", 1, 1, 1), "poles.lambda"),
+        ("lam", ("1", 1, 1, 1), "poles.lambda"),
+        ("mu", 5, "poles.mu"),
+    ],
+    ids=["None", "10**400", "x", "string-1", "scalar"],
+)
+def test_pole_vector_that_is_no_sequence_of_reals_names_the_key(field, value, key):
+    # `gains` converted each pole with float() before any check, so these
+    # escaped as TypeError, OverflowError or a message naming no vector,
+    # and the string "1" passed.
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+        Scenario(**{field: value})
+
+
 def test_window_wider_than_the_series_fails_estimate_only(tmp_path, capsys):
     # Only estimate smooths, so only estimate checks the window's fit.
     config = tmp_path / "scenario.cfg"
@@ -223,17 +242,17 @@ def test_cmd_simulate_is_byte_deterministic(tmp_path):
 
 def test_cmd_observe_schema_and_noise_determinism(tmp_path):
     sc = scenario_in(tmp_path)
-    path = cmd_observe(sc, noisy=True)
+    path = cmd_observe(sc)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,y1,y2,y1_noisy,y2_noisy"
     first = path.read_bytes()
-    second = cmd_observe(sc, noisy=True).read_bytes()
+    second = cmd_observe(sc).read_bytes()
     assert first == second
 
 
 def test_cmd_observe_no_noise_copies_clean_columns(tmp_path):
     sc = scenario_in(tmp_path)
-    path = cmd_observe(sc, noisy=False)
+    path = cmd_observe(replace(sc, relative_sigma=0.0))
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 1], data[:, 3])
     assert np.array_equal(data[:, 2], data[:, 4])
@@ -249,7 +268,7 @@ def test_csv_writer_emits_nan_as_empty_field(tmp_path):
 
 def test_cmd_estimate_outputs(tmp_path, capsys):
     sc = scenario_in(tmp_path)
-    run, traj, smoothed = cmd_estimate(sc, noisy=False)
+    run, traj, smoothed = cmd_estimate(replace(sc, relative_sigma=0.0))
     out = capsys.readouterr().out
     assert "final_rel_error.rho_hat" in out
     assert "guard_substitutions.y1 = 0" in out
@@ -350,7 +369,7 @@ def test_truth_csv_fields_read_back_bitwise(tmp_path, kind):
 
 def test_estimates_csv_fields_read_back_bitwise(tmp_path, capsys):
     sc = scenario_in(tmp_path)
-    run, _, smoothed = cmd_estimate(sc, noisy=True)
+    run, _, smoothed = cmd_estimate(sc)
     capsys.readouterr()
     est = run.estimates
     header, columns = _csv_columns(tmp_path / "out" / "estimates.csv")
@@ -365,7 +384,7 @@ def test_estimates_csv_fields_read_back_bitwise(tmp_path, capsys):
 
 def test_summary_report_keys_and_values(tmp_path, capsys):
     sc = scenario_in(tmp_path)
-    run, _, _ = cmd_estimate(sc, noisy=False)
+    run, _, _ = cmd_estimate(replace(sc, relative_sigma=0.0))
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert capsys.readouterr().out == summary
     fields = _report_fields(summary)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from siqr import (
     run_observer,
     verify_pole_placement,
 )
-from siqr.observer import GainSet, _coeff_error, _observer_field
+from siqr.observer import GainSet, _coeff_error, _inputs, _observer_field
 from siqr.scenario import DEFAULT_LAMBDA, DEFAULT_MU, Scenario
 
 from synthetic import linear_regime_series
@@ -64,6 +65,21 @@ def test_gains_reject_bad_poles():
         gains(DEFAULT_LAMBDA, [0.1, 0.2])
     with pytest.raises(ValueError):
         gains([1.0, 2.0, 3.0, -4.0], DEFAULT_MU)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, name",
+    [
+        (None, DEFAULT_MU, "lambda"),
+        ((10**400, 1.0, 1.0, 1.0), DEFAULT_MU, "lambda"),
+        (("x", 1.0, 1.0, 1.0), DEFAULT_MU, "lambda"),
+        (DEFAULT_LAMBDA, 5.0, "mu"),
+    ],
+    ids=["None", "10**400", "x", "scalar"],
+)
+def test_gains_names_the_pole_vector_that_is_no_sequence_of_reals(lam, mu, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        gains(lam, mu)
 
 
 # --- observer field --------------------------------------------------------
@@ -122,6 +138,42 @@ def test_observer_error_dynamics_match_block_matrices():
     m2 = assemble_m2(REF_GAINS, 1e5)
     assert diff[:4] == pytest.approx(m1 @ err[:4], rel=1e-9, abs=1e-18)
     assert diff[4:] == pytest.approx(y1 * (m2 @ err[4:]), rel=1e-9, abs=1e-18)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+def test_compiled_field_jacobian_is_the_designed_error_matrix(kind):
+    # `verify_pole_placement` checks the hand-written M1 and M2; this ties
+    # them to the field that runs. At every 50th state of the noise-free
+    # reference run, the central-difference Jacobian of the compiled
+    # observer field is blockdiag(M1, y1 * M2), to 1e-9 of each row's
+    # largest entry. The full kind's v_hat row (dx5) also carries the
+    # quarantine outflow, which depends on delta_hat, rho_hat and k_hat.
+    from siqr.cli import estimate_scenario, make_measurements
+
+    sc = Scenario(kind=kind, relative_sigma=0.0)
+    _, run = estimate_scenario(sc)
+    _, clean, _ = make_measurements(sc, False)
+    gs = sc.gain_set()
+    field = _observer_field(gs, sc.N, kind)
+    rows = [0, 1, 2, 3, 4, 6] if kind is ModelKind.FULL else list(range(7))
+    states = run.trajectory.states[::50]
+    for x, y1, y2 in zip(states, clean.y1[::50], clean.y2[::50]):
+        u = _inputs([y1], [y2])[0].tolist()
+        expected = np.zeros((7, 7))
+        expected[:4, :4] = assemble_m1(gs)
+        expected[4:, 4:] = y1 * assemble_m2(gs, sc.N)
+        jac = np.empty((7, 7))
+        for j in range(7):
+            up, down = x.copy(), x.copy()
+            h = 1e-6 * max(1.0, abs(x[j]))
+            up[j] += h
+            down[j] -= h
+            jac[:, j] = np.subtract(field(up.tolist(), *u), field(down.tolist(), *u)) / (
+                up[j] - down[j]
+            )
+        scale = np.abs(expected).max(axis=1, keepdims=True)
+        assert (np.abs(jac - expected) <= 1e-9 * scale)[rows].all()
+    assert len(states) == 21
 
 
 def test_observer_single_step_golden_value():
@@ -507,7 +559,7 @@ def test_reference_run_characterisation_noise_free():
     from siqr.cli import estimate_scenario
 
     sc = Scenario()
-    _, run = estimate_scenario(sc, noisy=False)
+    _, run = estimate_scenario(replace(sc, relative_sigma=0.0))
     est = run.estimates
     k_true = sc.beta**2 / sc.alpha
     assert abs(est.rho_hat[-1] - sc.rho) / sc.rho < 0.05

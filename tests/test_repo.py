@@ -108,6 +108,8 @@ def test_cli_matrix_digests_a_case():
           for body in ("model", "observer")),
         *(["library", f"{name} {kind}"] for kind in ("full", "simplified")
           for name in ("observer_init", "observer_rhs", "output_jets", "recover")),
+        ["library", "gains"],
+        ["library", "verify_pole_placement"],
     ]
     digests = {name: digest for _, name, digest in lines}
     assert digests["stderr"] == hashlib.sha256(b"").hexdigest()
