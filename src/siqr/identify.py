@@ -65,20 +65,17 @@ class HChain(NamedTuple):
 def _check_finite(jet: OutputJet) -> None:
     """Raise DegenerateInputError naming the first entry of the jet that
     is not finite."""
-    # 0.0 * x is a zero for finite x and NaN for an infinite or NaN x, so
-    # one product checks the seven entries; the loop only names one.
-    if 0.0 * jet.y1 * jet.dy1 * jet.d2y1 * jet.d3y1 * jet.y2 * jet.dy2 * jet.d2y2 == 0.0:
-        return
-    for name in ("y1", "dy1", "d2y1", "d3y1", "y2", "dy2", "d2y2"):
-        value = getattr(jet, name)
+    for name, value in zip(OutputJet._fields[1:], jet[1:]):
         if not math.isfinite(value):
             raise DegenerateInputError(
-                f"jet entry {name} must be finite, got {value!r} (t={jet.t!r})"
+                f"jet entry {name} must be finite, got {value!r} (t={jet[0]!r})"
             )
 
 
 def recover_rho(jet: OutputJet) -> float:
-    """rho = (y1 - dy2)/y2; singular where the quarantine is empty."""
+    """rho = (y1 - dy2)/y2; singular where the quarantine is empty. A jet
+    entry that is not finite raises DegenerateInputError."""
+    _check_finite(jet)
     if jet.y2 <= 0:
         raise SingularPointError(
             f"rho recovery needs y2 > 0, got y2={jet.y2!r} (t={jet.t!r})"
@@ -88,52 +85,35 @@ def recover_rho(jet: OutputJet) -> float:
 
 def h_chain(jet: OutputJet, N: float) -> HChain:
     """Evaluate the log-derivative chain of y1 from a jet; raise
-    DegenerateInputError if one of its values overflows."""
-    if jet.y1 <= 0:
+    DegenerateInputError if a jet entry is not finite or one of the
+    chain's values overflows."""
+    _check_finite(jet)
+    return HChain(*_chain(*jet[:7], N))
+
+
+def _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, N):
+    """`h_chain` on the jet's entries, as the plain tuple (h1, dh1, ddh1,
+    h2, dh2); the recoveries call it on their unpacked jet."""
+    if y1 <= 0:
         raise SingularPointError(
-            f"log-derivative chain needs y1 > 0, got y1={jet.y1!r} (t={jet.t!r})"
+            f"log-derivative chain needs y1 > 0, got y1={y1!r} (t={t!r})"
         )
-    a1 = jet.dy1 / jet.y1
-    a2 = jet.d2y1 / jet.y1
-    a3 = jet.d3y1 / jet.y1
+    a1 = dy1 / y1
+    a2 = d2y1 / y1
+    a3 = d3y1 / y1
     dh1 = a2 - a1 * a1
     try:
         ddh1 = a3 - 3.0 * a1 * a2 + 2.0 * a1 ** 3
     except OverflowError:  # a float power raises where a float product gives inf
         ddh1 = math.inf
-    h2 = (N - jet.y2) * dh1
-    dh2 = -jet.dy2 * dh1 + (N - jet.y2) * ddh1
-    # One product checks the five values, as in _check_finite.
+    h2 = (N - y2) * dh1
+    dh2 = -dy2 * dh1 + (N - y2) * ddh1
+    # One product checks the five values, as in the recoveries' jet check.
     if not 0.0 * a1 * dh1 * ddh1 * h2 * dh2 == 0.0:
         raise DegenerateInputError(
-            f"log-derivative chain overflows, dy1/y1={a1!r} (t={jet.t!r})"
+            f"log-derivative chain overflows, dy1/y1={a1!r} (t={t!r})"
         )
-    return HChain(a1, dh1, ddh1, h2, dh2)
-
-
-def _admissible(x, chain, rho, jet):
-    """alpha and beta implied by a candidate root, or None if unphysical.
-
-    Written as `not ... < 0` and `not ... > 0`, so that NaN is unphysical.
-    """
-    if not x < 0:
-        return None
-    alpha = chain.h2 / x - chain.h1 - rho
-    if not alpha > 0:
-        return None
-    beta = alpha * (jet.dy2 - x) / jet.y1
-    if not beta > 0:
-        return None
-    return alpha, beta
-
-
-def _checked(rec: RecoveredParams, jet: OutputJet) -> RecoveredParams:
-    """rec, unless it overflows (DegenerateInputError) or has a rate <= 0 (RegimeError)."""
-    if not 0.0 * rec.rho * rec.alpha * rec.beta * rec.epsilon == 0.0:
-        raise DegenerateInputError(f"recovery overflows, got {rec!r} (t={jet.t!r})")
-    if not (rec.rho > 0 and rec.alpha > 0 and rec.beta > 0):
-        raise RegimeError(f"recovered rates must be positive, got {rec!r} (t={jet.t!r})")
-    return rec
+    return a1, dh1, ddh1, h2, dh2
 
 
 def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
@@ -147,47 +127,65 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
     and so does a finite jet whose chain, quadratic or rates overflow.
     Finite rates with rho <= 0 raise RegimeError.
     """
-    _check_finite(jet)
-    rho = recover_rho(jet)
-    chain = h_chain(jet, N)
-    A = chain.dh1
-    B = chain.h2 * chain.h1 - chain.dh2
-    C = chain.h2 * (-chain.h1 * jet.dy2 + jet.d2y2)
-    if A == 0.0:
+    # Straight-line code on the unpacked jet, with no named tuple built on
+    # the way: helper calls and NamedTuple construction cost more than the
+    # arithmetic (studies/recover_form.py).
+    t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2 = jet
+    # 0.0 * x is a zero for finite x and NaN for an infinite or NaN x, so
+    # one product checks the seven entries; _check_finite names one.
+    if not 0.0 * y1 * dy1 * d2y1 * d3y1 * y2 * dy2 * d2y2 == 0.0:
+        _check_finite(jet)
+    if y2 <= 0:
+        raise SingularPointError(f"rho recovery needs y2 > 0, got y2={y2!r} (t={t!r})")
+    rho = float((y1 - dy2) / y2)
+    h1, dh1, _, h2, dh2 = _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, N)
+    B = h2 * h1 - dh2
+    C = h2 * (-h1 * dy2 + d2y2)
+    if dh1 == 0.0:
         if B == 0.0:
             raise DegenerateInputError("recovery quadratic vanished identically")
         roots = [-C / B]
     else:
-        disc = B * B - 4.0 * A * C
+        disc = B * B - 4.0 * dh1 * C
         if disc < 0:
             raise DegenerateInputError(
                 f"recovery quadratic has no real root (discriminant {disc!r})"
             )
         if not 0.0 * disc == 0.0:
             raise DegenerateInputError(
-                f"recovery quadratic overflows, discriminant {disc!r} (t={jet.t!r})"
+                f"recovery quadratic overflows, discriminant {disc!r} (t={t!r})"
             )
         sq = math.sqrt(disc)
         # Stable form: avoid cancellation between -B and the radical.
         q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else 0.5 * sq
-        roots = [q / A] if q == 0.0 else [q / A, C / q]
+        roots = [q / dh1] if q == 0.0 else [q / dh1, C / q]
+    # (x, alpha, beta) per admissible root: x < 0 and positive rates,
+    # each test written so that NaN fails it.
     admissible = []
     for x in roots:
-        ab = _admissible(x, chain, rho, jet)
-        if ab is not None:
-            admissible.append((x, ab))
+        if x < 0:
+            alpha = h2 / x - h1 - rho
+            if alpha > 0:
+                beta = alpha * (dy2 - x) / y1
+                if beta > 0:
+                    admissible.append((x, alpha, beta))
     if not admissible:
         raise RootSelectionError(
             f"no negative root with positive rates among {roots!r}"
         )
-    if len(admissible) > 1 and not math.isclose(
-        admissible[0][0], admissible[1][0], rel_tol=1e-9
-    ):
+    x, alpha, beta = admissible[0]
+    if len(admissible) > 1 and not math.isclose(x, admissible[1][0], rel_tol=1e-9):
         raise RootSelectionError(
-            f"ambiguous root selection, candidates {[x for x, _ in admissible]!r}"
+            f"ambiguous root selection, candidates {[a[0] for a in admissible]!r}"
         )
-    x, (alpha, beta) = admissible[0]
-    return _checked(RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha)), jet)
+    alpha, beta, epsilon = float(alpha), float(beta), float(y1_at_0 / alpha)
+    if not 0.0 * rho * alpha * beta * epsilon == 0.0:
+        rec = RecoveredParams(rho, alpha, beta, epsilon)
+        raise DegenerateInputError(f"recovery overflows, got {rec!r} (t={t!r})")
+    if not (rho > 0 and alpha > 0 and beta > 0):
+        rec = RecoveredParams(rho, alpha, beta, epsilon)
+        raise RegimeError(f"recovered rates must be positive, got {rec!r} (t={t!r})")
+    return tuple.__new__(RecoveredParams, (rho, alpha, beta, epsilon))
 
 
 def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
@@ -203,28 +201,39 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     or alpha exactly zero, raises DegenerateInputError. A rate <= 0, as
     on runs with R0 <= 1, raises RegimeError.
     """
-    _check_finite(jet)
-    rho = recover_rho(jet)
-    chain = h_chain(jet, N)
-    if chain.dh1 >= 0:
+    # Straight-line code on the unpacked jet, as in recover_full.
+    t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2 = jet
+    if not 0.0 * y1 * dy1 * d2y1 * d3y1 * y2 * dy2 * d2y2 == 0.0:
+        _check_finite(jet)
+    if y2 <= 0:
+        raise SingularPointError(f"rho recovery needs y2 > 0, got y2={y2!r} (t={t!r})")
+    rho = float((y1 - dy2) / y2)
+    a1, dh1, _, _, _ = _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, N)
+    if dh1 >= 0:
         raise RegimeError(
-            f"dh1 must be negative on simplified-model data, got {chain.dh1!r}"
+            f"dh1 must be negative on simplified-model data, got {dh1!r}"
         )
-    h1 = chain.h1 + rho
+    h1 = a1 + rho
     # beta*I/N = dy1/y1 - ddh1/dh1 evaluated in fused form: the staged
     # version subtracts two nearly equal O(1) ratios and loses the tiny
     # difference to roundoff.
-    a1 = chain.h1
-    a2 = jet.d2y1 / jet.y1
-    a3 = jet.d3y1 / jet.y1
-    beta_i = N * (4.0 * a1 * a2 - 3.0 * a1 ** 3 - a3) / chain.dh1
+    a2 = d2y1 / y1
+    a3 = d3y1 / y1
+    beta_i = N * (4.0 * a1 * a2 - 3.0 * a1 ** 3 - a3) / dh1
     if beta_i == 0.0:
-        raise DegenerateInputError(f"beta*I vanishes at t={jet.t!r}")
-    alpha = -N * chain.dh1 / beta_i - h1
+        raise DegenerateInputError(f"beta*I vanishes at t={t!r}")
+    alpha = -N * dh1 / beta_i - h1
     if alpha == 0.0:
-        raise DegenerateInputError(f"alpha vanishes at t={jet.t!r}")
-    beta = alpha * beta_i / jet.y1
-    return _checked(RecoveredParams(rho, float(alpha), float(beta), float(y1_at_0 / alpha)), jet)
+        raise DegenerateInputError(f"alpha vanishes at t={t!r}")
+    beta = alpha * beta_i / y1
+    alpha, beta, epsilon = float(alpha), float(beta), float(y1_at_0 / alpha)
+    if not 0.0 * rho * alpha * beta * epsilon == 0.0:
+        rec = RecoveredParams(rho, alpha, beta, epsilon)
+        raise DegenerateInputError(f"recovery overflows, got {rec!r} (t={t!r})")
+    if not (rho > 0 and alpha > 0 and beta > 0):
+        rec = RecoveredParams(rho, alpha, beta, epsilon)
+        raise RegimeError(f"recovered rates must be positive, got {rec!r} (t={t!r})")
+    return tuple.__new__(RecoveredParams, (rho, alpha, beta, epsilon))
 
 
 def check_initial_inequalities(params, epsilon: float) -> dict:

@@ -169,12 +169,21 @@ def test_recover_simplified_rejects_positive_dh1():
 _FINITE_JET = OutputJet(t=2.5, y1=0.7, dy1=0.1, d2y1=0.02, d3y1=0.003, y2=5.0, dy2=0.2, d2y2=0.01)
 
 
-@pytest.mark.parametrize("recover", [recover_full, recover_simplified])
+def rho_of_jet(jet, y1_at_0, N):
+    return recover_rho(jet)
+
+
+def chain_of_jet(jet, y1_at_0, N):
+    return h_chain(jet, N)
+
+
+@pytest.mark.parametrize("recover", [recover_full, recover_simplified, rho_of_jet, chain_of_jet])
 @pytest.mark.parametrize("entry", ["y1", "d3y1"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_recovery_rejects_a_jet_entry_that_is_not_finite(recover, entry, value):
-    # Without the check, y1 = nan gives nan rates from recover_simplified
-    # and an "ambiguous root selection" from recover_full.
+    # Without the check, y1 = nan gives nan rates from recover_simplified,
+    # an "ambiguous root selection" from recover_full, a nan rho from
+    # recover_rho and a "log-derivative chain overflows" from h_chain.
     jet = _FINITE_JET._replace(**{entry: value})
     message = rf"^jet entry {entry} must be finite, got .* \(t=2\.5\)$"
     with pytest.raises(DegenerateInputError, match=message):
@@ -309,6 +318,19 @@ _LITERAL_JETS = [
 def test_recovery_bits_on_a_literal_jet(recover, jet, expected):
     rec = recover(jet, y1_at_0=0.7, N=1e5)
     assert tuple(repr(v) for v in rec) == expected
+
+
+@pytest.mark.parametrize("recover, jet", [case[:2] for case in _LITERAL_JETS],
+                         ids=["full", "simplified"])
+def test_recovery_of_numpy_float64_entries_returns_the_same_python_floats(recover, jet):
+    # Arithmetic on np.float64 entries gives np.float64 values; the
+    # recoveries convert each rate to a Python float, with the same bits.
+    numpy_jet = OutputJet(*np.array(jet))
+    assert [type(v) for v in numpy_jet] == [np.float64] * 8
+    rec = recover(numpy_jet, y1_at_0=0.7, N=1e5)
+    assert type(rec) is RecoveredParams
+    assert [type(v) for v in rec] == [float] * 4
+    assert [repr(v) for v in rec] == [repr(v) for v in recover(jet, y1_at_0=0.7, N=1e5)]
 
 
 _JET_FIELDS = ("t", "y1", "dy1", "d2y1", "d3y1", "y2", "dy2", "d2y2")

@@ -194,7 +194,8 @@ def test_frozen_benchmark_runs_against_this_src(tmp_path, monkeypatch):
 _RK4_CASES = [f"{part} {kind}" for part in ("model", "observer") for kind in ("full", "simplified")]
 # {study: the cases its `measure` reports}
 _STUDIES = {"inline_cost": _RK4_CASES, "step_storage": _RK4_CASES,
-            "jet_form": ["jet full", "jet simplified"]}
+            "jet_form": ["jet full", "jet simplified"],
+            "recover_form": ["recover full", "recover simplified"]}
 
 
 @pytest.mark.parametrize("script", list(_STUDIES))
@@ -204,10 +205,13 @@ def test_study_runs_and_keeps_the_bits(monkeypatch, script):
     # stage. studies/step_storage.py times it against a block that
     # stores a step by `extend` of a tuple, and against bodies that
     # compare against the int 0. studies/jet_form.py times `output_jets`
-    # against the recurrence in a loop over the orders. Run small (20
-    # steps, or 20 drawn states), each must still build its forms and
-    # find the same bits. step_storage imports inline_cost's cases from
-    # the studies directory.
+    # against the recurrence in a loop over the orders.
+    # studies/recover_form.py times the straight-line recoveries against
+    # their helper-based form, on drawn jets and on edge jets that must
+    # each raise as listed. Run small (20 steps, 20 drawn states or 20
+    # drawn jets), each must still build its forms and find the same
+    # bits, values or errors. step_storage imports inline_cost's cases
+    # from the studies directory.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "studies"))
     try:

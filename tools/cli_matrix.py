@@ -31,7 +31,7 @@ observer's start `Scenario.observer_init` and `observer_rhs` at every
 10th observer state, driven by that row's guarded measurements. On the
 noise-free reference run over 20 days: `output_jets` at every 10th
 state, and the recovery at each of those jets, its returned values or
-the class name of what it raised:
+the class name and message of what it raised:
 
     library  observer_rhs full  sha256
     library  recover full  sha256
@@ -120,7 +120,7 @@ for kind in ModelKind:
         try:
             recovered.append(repr(tuple(recover(jet, sc.alpha * sc.I0, sc.N))))
         except ValueError as exc:
-            recovered.append(type(exc).__name__)
+            recovered.append(f"{type(exc).__name__}: {exc}")
     for name, value in (("observer_init", init), ("observer_rhs", rhs), ("output_jets", jets)):
         data = np.asarray(value, dtype=float).tobytes()
         print(f"{name} {kind.value}", hashlib.sha256(data).hexdigest(), sep="  ")
