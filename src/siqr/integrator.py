@@ -52,29 +52,37 @@ def _finite(name: str, value) -> bool:
         raise ValueError(f"{name} must be a finite real number, got {value!r}") from None
 
 
+def _real(name: str, value, ok, must: str) -> float:
+    """`value` as a Python float if finite and `ok(value)`, else a ValueError
+    that `name` must be finite and `must` (or just finite, `must` empty)."""
+    if not (_finite(name, value) and ok(value)):
+        raise ValueError(f"{name} must be finite{' and ' * bool(must)}{must}, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step size and final time, both in days.
 
     The horizon is rounded to a whole number of steps, at least one and
-    at most MAX_STEPS. Each ValueError message starts with the name of
-    the field at fault.
+    at most MAX_STEPS. Both are stored as Python floats. Each ValueError
+    message starts with the name of the field at fault.
     """
 
     dt: float = 0.01
     horizon: float = 10.0
 
     def __post_init__(self):
-        if not (_finite("dt", self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        if not (_finite("horizon", self.horizon) and self.horizon >= self.dt):
-            raise ValueError(
-                f"horizon must be finite and at least dt = {self.dt!r}, got {self.horizon!r}"
-            )
+        dt = _real("dt", self.dt, lambda v: v > 0, "positive")
+        horizon = _real(
+            "horizon", self.horizon, lambda v: v >= self.dt, f"at least dt = {self.dt!r}"
+        )
         if self.horizon > MAX_STEPS * self.dt:
             raise ValueError(
                 f"horizon must be at most {MAX_STEPS} steps, got {self.horizon!r} / {self.dt!r}"
             )
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "horizon", horizon)
 
     @property
     def n_steps(self) -> int:

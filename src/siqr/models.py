@@ -12,7 +12,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DomainError
-from .integrator import Field, FieldBody, _finite
+from .integrator import Field, FieldBody, _real
 
 __all__ = [
     "ModelKind",
@@ -47,8 +47,9 @@ class ModelParams:
 
     beta is the infectivity rate, rho the recovery rate (shared by free
     and quarantined infected individuals), alpha the rate of placement
-    in quarantine. Each ValueError message starts with the name of the
-    field at fault.
+    in quarantine. Each is stored as a Python float, so rates drawn with
+    numpy run the fields and recoveries in float arithmetic. Each
+    ValueError message starts with the name of the field at fault.
     """
 
     beta: float
@@ -58,9 +59,8 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("beta", "rho", "alpha", "N"):
-            value = getattr(self, name)
-            if not (_finite(name, value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+            real = _real(name, getattr(self, name), lambda v: v > 0, "strictly positive")
+            object.__setattr__(self, name, real)
 
 
 class EpidemicState(NamedTuple):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .integrator import Trajectory, _finite
+from .integrator import Trajectory, _real
 from .models import EpidemicState, ModelKind, ModelParams, is_full
 
 __all__ = [
@@ -60,18 +60,16 @@ class NoiseSpec:
     """Multiplicative Gaussian measurement noise.
 
     relative_sigma is the standard deviation as a fraction of the
-    instantaneous signal value. Each ValueError message starts with the
-    name of the field at fault.
+    instantaneous signal value, stored as a Python float. Each
+    ValueError message starts with the name of the field at fault.
     """
 
     relative_sigma: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        if not (_finite("relative_sigma", self.relative_sigma) and self.relative_sigma >= 0):
-            raise ValueError(
-                f"relative_sigma must be finite and non-negative, got {self.relative_sigma!r}"
-            )
+        sigma = _real("relative_sigma", self.relative_sigma, lambda v: v >= 0, "non-negative")
+        object.__setattr__(self, "relative_sigma", sigma)
         try:
             operator.index(self.seed)  # numpy's generator takes integers only
         except TypeError:
@@ -82,8 +80,7 @@ class NoiseSpec:
 
 def observe(traj: Trajectory, alpha: float) -> OutputSeries:
     """Project an SIQR trajectory onto the measured outputs."""
-    if not (_finite("alpha", alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and strictly positive, got {alpha!r}")
+    alpha = _real("alpha", alpha, lambda v: v > 0, "strictly positive")
     return OutputSeries(
         times=traj.times,
         y1=alpha * traj.states[:, 1],

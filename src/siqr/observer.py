@@ -167,10 +167,10 @@ if full:
 
 def _observer_field(K: GainSet, N: float, kind: ModelKind) -> Field:
     """field(x, y1, y2, z1, z2), z_i = log y_i, as a `Field` with the gains,
-    N and `kind` bound once per run: x a length-7 sequence, a tuple out.
-    `integrate` inlines the field's equations instead of calling it.
+    float(N) and `kind` bound once per run: x a length-7 sequence, a tuple
+    out. `integrate` inlines the field's equations instead of calling it.
     Raises ValueError if `kind` is not a `ModelKind`."""
-    return Field(_OBSERVER, (*K.K, N, is_full(kind)))
+    return Field(_OBSERVER, (*K.K, float(N), is_full(kind)))
 
 
 def _inputs(y1, y2) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .integrator import IntegratorConfig, _finite
+from .integrator import IntegratorConfig, _real
 from .models import EpidemicState, ModelKind, ModelParams, is_full
 from .observation import NoiseSpec, check_window
 from .observer import GainSet, ObserverState, _inputs, gains
@@ -41,12 +41,13 @@ class Scenario:
     """One run's settings, valid by construction.
 
     Construction runs one check per section, in the document's order:
-    the kind, each part (built once, only to check its ranges), the
-    initial counts, the smoothing window and the observer guesses. A
-    check's ValueError starts with its field's name and becomes a
-    ConfigError naming the key. `params()`, `integrator_config()`,
-    `noise_spec()` and `gain_set()` build a new part at each call.
-    `relative_sigma = 0` is a noise-free run, as `--no-noise` sets.
+    the kind, each part, the initial counts, the smoothing window and
+    the observer guesses. A check's ValueError starts with its field's
+    name and becomes a ConfigError naming the key. `params()`,
+    `integrator_config()` and `noise_spec()` build a new part at each
+    call; `gain_set()` returns the `GainSet` the check built. The fields
+    keep the values given. `relative_sigma = 0` is a noise-free run, as
+    `--no-noise` sets.
     """
 
     kind: ModelKind = ModelKind.FULL
@@ -76,7 +77,7 @@ class Scenario:
             ("params", self.params),
             ("sim", self.integrator_config),
             ("noise", self.noise_spec),
-            ("poles", self.gain_set),
+            ("poles", lambda: object.__setattr__(self, "_gains", gains(self.lam, self.mu))),
             ("init", self._check_init),
             ("smooth", lambda: check_window(self.smooth_window)),
             ("observer", self._check_guesses),
@@ -89,20 +90,15 @@ class Scenario:
                 raise ConfigError(f"{prefix}.{exc}") from exc
 
     def _check_init(self) -> None:
-        if not (_finite("I0", self.I0) and self.I0 > 0):
-            raise ValueError(f"I0 must be finite and strictly positive, got {self.I0!r}")
+        _real("I0", self.I0, lambda v: v > 0, "strictly positive")
         for name in ("Q0", "R0"):
-            value = getattr(self, name)
-            if not (_finite(name, value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+            _real(name, getattr(self, name), lambda v: v >= 0, "non-negative")
         if not self.initial_state().S > 0:
             raise ValueError("I0 + Q0 + R0 must be below the population size params.N")
 
     def _check_guesses(self) -> None:
         for name in ("delta0", "rho0", "v0", "k0"):
-            value = getattr(self, name)
-            if not _finite(name, value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _real(name, getattr(self, name), lambda v: True, "")
 
     def params(self) -> ModelParams:
         return ModelParams(beta=self.beta, rho=self.rho, alpha=self.alpha, N=self.N)
@@ -118,7 +114,7 @@ class Scenario:
         return NoiseSpec(relative_sigma=self.relative_sigma, seed=self.seed)
 
     def gain_set(self) -> GainSet:
-        return gains(self.lam, self.mu)
+        return self._gains
 
     def observer_init(self, y1_0: float, y2_0: float) -> ObserverState:
         """The observer's start: z1, z2, y1 from the `_inputs` row of the

@@ -237,14 +237,14 @@ def outcome(recover, args) -> str:
 
 def drawn_calls(kind, count: int, seed: int = 17) -> list:
     """`count` argument tuples (jet, y1_at_0, N) of a recovery, all Python
-    floats: jets at drawn steps of four outbreaks of `kind` with drawn
-    rates, integrated over 20 days."""
+    floats (`ModelParams` stores the drawn rates as floats): jets at drawn
+    steps of four outbreaks of `kind` with drawn rates, integrated over
+    20 days."""
     rng = np.random.default_rng([seed, is_full(kind)])
     cfg = IntegratorConfig(dt=0.01, horizon=20.0)
     runs = []
     for _ in range(4):
-        draw = rng.uniform([0.3, 0.08, 0.05, 0.0], [0.5, 0.12, 0.08, 1.0])
-        beta, rho, alpha, log4_n = draw.tolist()
+        beta, rho, alpha, log4_n = rng.uniform([0.3, 0.08, 0.05, 0.0], [0.5, 0.12, 0.08, 1.0])
         params = ModelParams(beta=beta, rho=rho, alpha=alpha, N=5e4 * 4.0**log4_n)
         traj = integrate(vector_field(kind, params), [params.N - 15.0, 10.0, 5.0, 0.0], cfg)
         runs.append((params, traj.states.tolist(), traj.times.tolist()))

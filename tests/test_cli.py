@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -26,6 +28,11 @@ from siqr.cli import (
     main,
     simulate_truth,
 )
+from siqr.cli import estimate_scenario
+from siqr.integrator import IntegratorConfig, Trajectory
+from siqr.models import ModelParams, vector_field
+from siqr.observation import NoiseSpec, observe
+from siqr.observer import _observer_field, gains
 from siqr.scenario import DEFAULT_LAMBDA, REFERENCE_MU
 
 
@@ -175,6 +182,104 @@ def test_count_or_guess_that_is_no_finite_real_number_names_the_key(field, key, 
     with pytest.raises(ConfigError) as info:
         Scenario(**{field: value})
     assert str(info.value) == f"{key} must be a finite real number, got {value!r}"
+
+
+def _range_cases():
+    """(build, message) for each real-valued setting checked by a range:
+    NaN, inf and, where a range applies, a value just outside it."""
+    nan, inf = math.nan, math.inf
+    rates = {"beta": 0.4, "rho": 0.1, "alpha": 0.07, "N": 1e5}
+    point = Trajectory(times=np.zeros(1), states=np.ones((1, 4)))
+    cases = []
+    for name in rates:
+        for value in (nan, inf, 0.0):
+            cases.append((lambda n=name, v=value: ModelParams(**{**rates, n: v}),
+                          f"{name} must be finite and strictly positive, got {value!r}"))
+            cases.append((lambda n=name, v=value: Scenario(**{n: v}),
+                          f"params.{name} must be finite and strictly positive, got {value!r}"))
+    for value in (nan, inf, 0.0, -0.5):
+        cases.append((lambda v=value: IntegratorConfig(dt=v),
+                      f"dt must be finite and positive, got {value!r}"))
+        cases.append((lambda v=value: Scenario(dt=v),
+                      f"sim.dt must be finite and positive, got {value!r}"))
+    for value in (nan, inf, 0.1):
+        cases.append((lambda v=value: IntegratorConfig(dt=0.5, horizon=v),
+                      f"horizon must be finite and at least dt = 0.5, got {value!r}"))
+        cases.append((lambda v=value: Scenario(dt=0.5, horizon=v),
+                      f"sim.horizon must be finite and at least dt = 0.5, got {value!r}"))
+    for value in (nan, inf, -0.1):
+        cases.append((lambda v=value: NoiseSpec(relative_sigma=v),
+                      f"relative_sigma must be finite and non-negative, got {value!r}"))
+        cases.append((lambda v=value: Scenario(relative_sigma=v),
+                      f"noise.relative_sigma must be finite and non-negative, got {value!r}"))
+    for value in (nan, inf, 0.0):
+        cases.append((lambda v=value: observe(point, v),
+                      f"alpha must be finite and strictly positive, got {value!r}"))
+    for value in (nan, inf, 0.0, -1.0):
+        cases.append((lambda v=value: Scenario(I0=v),
+                      f"init.I0 must be finite and strictly positive, got {value!r}"))
+    for name in ("Q0", "R0"):
+        for value in (nan, inf, -inf, -0.5):
+            cases.append((lambda n=name, v=value: Scenario(**{n: v}),
+                          f"init.{name} must be finite and non-negative, got {value!r}"))
+    for name in ("delta0", "rho0", "v0", "k0"):
+        for value in (nan, inf, -inf):
+            cases.append((lambda n=name, v=value: Scenario(**{n: v}),
+                          f"observer.{name} must be finite, got {value!r}"))
+    return cases
+
+
+_RANGE_CASES = _range_cases()
+
+
+@pytest.mark.parametrize(
+    "build, message", _RANGE_CASES, ids=[message for _, message in _RANGE_CASES]
+)
+def test_real_setting_out_of_range_keeps_its_full_message(build, message):
+    # One check writes all of these messages; each keeps its text.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_numpy_valued_settings_run_on_python_floats(kind):
+    # np.float64 is a subclass of float, so only the exact type tells
+    # whether a part converted its numbers. A numpy scalar bound in a
+    # field runs each RK4 stage in numpy scalar arithmetic: the same
+    # bits at about three times the cost.
+    params = ModelParams(
+        beta=np.float64(0.4), rho=np.float64(0.1), alpha=np.float64(0.07), N=10**5
+    )
+    cfg = IntegratorConfig(dt=np.float64(0.01), horizon=10)
+    noise = NoiseSpec(relative_sigma=np.float64(0.05))
+    held = [*dataclasses.astuple(params), *dataclasses.astuple(cfg), noise.relative_sigma]
+    assert [type(value) for value in held] == [float] * 7
+    for field in (
+        vector_field(kind, params),
+        _observer_field(gains(DEFAULT_LAMBDA, REFERENCE_MU), np.float64(1e5), kind),
+    ):
+        bound = [type(value) for value in field.constants]
+        assert bound == [float] * (len(bound) - 1) + [bool]
+
+    sc = Scenario(kind=kind)
+    rates = ("beta", "rho", "alpha", "N")
+    drawn = replace(sc, **{name: np.float64(getattr(sc, name)) for name in rates})
+    assert type(drawn.N) is np.float64  # the scenario keeps the values given
+    (truth, run), (truth_np, run_np) = estimate_scenario(sc), estimate_scenario(drawn)
+    assert truth_np.states.tobytes() == truth.states.tobytes()
+    assert run_np.trajectory.states.tobytes() == run.trajectory.states.tobytes()
+
+
+def test_gain_set_is_built_once_per_scenario():
+    sc = Scenario()
+    assert sc.gain_set() is sc.gain_set()
+    assert sc.gain_set() == gains(sc.lam, sc.mu)
+    other = replace(sc, mu=(1.0, 2.0, 3.0))
+    assert other.gain_set().mu == (1.0, 2.0, 3.0)
+    # The kept GainSet is no field: equality, hash and repr read the fields.
+    assert replace(sc) == sc and hash(replace(sc)) == hash(sc)
+    assert "GainSet" not in repr(sc) and "_gains" not in repr(sc)
 
 
 @pytest.mark.parametrize(
