@@ -28,9 +28,6 @@ from .observation import OutputJet
 
 __all__ = [
     "RecoveredParams",
-    "HChain",
-    "recover_rho",
-    "h_chain",
     "recover_full",
     "recover_simplified",
     "check_initial_inequalities",
@@ -47,21 +44,6 @@ class RecoveredParams(NamedTuple):
     epsilon: float
 
 
-class HChain(NamedTuple):
-    """Log-derivative chain of y1 evaluated from one jet, a length-5 tuple.
-
-    h1 is dy1/y1 (full-model convention; the simplified route adds rho
-    separately), dh1 and ddh1 its first two time derivatives, h2 the
-    pool-scaled slope (N - y2) * dh1 and dh2 its derivative.
-    """
-
-    h1: float
-    dh1: float
-    ddh1: float
-    h2: float
-    dh2: float
-
-
 def _check_finite(jet: OutputJet) -> None:
     """Raise DegenerateInputError naming the first entry of the jet that
     is not finite."""
@@ -72,28 +54,15 @@ def _check_finite(jet: OutputJet) -> None:
             )
 
 
-def recover_rho(jet: OutputJet) -> float:
-    """rho = (y1 - dy2)/y2; singular where the quarantine is empty. A jet
-    entry that is not finite raises DegenerateInputError."""
-    _check_finite(jet)
-    if jet.y2 <= 0:
-        raise SingularPointError(
-            f"rho recovery needs y2 > 0, got y2={jet.y2!r} (t={jet.t!r})"
-        )
-    return float((jet.y1 - jet.dy2) / jet.y2)
-
-
-def h_chain(jet: OutputJet, N: float) -> HChain:
-    """Evaluate the log-derivative chain of y1 from a jet; raise
-    DegenerateInputError if a jet entry is not finite or one of the
-    chain's values overflows."""
-    _check_finite(jet)
-    return HChain(*_chain(*jet[:7], N))
-
-
 def _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, N):
-    """`h_chain` on the jet's entries, as the plain tuple (h1, dh1, ddh1,
-    h2, dh2); the recoveries call it on their unpacked jet."""
+    """The log-derivative chain of y1 from a jet's entries, as the plain
+    tuple (h1, dh1, ddh1, h2, dh2); the recoveries call it on their
+    unpacked jet.
+
+    h1 is dy1/y1 (full-model convention; the simplified route adds rho
+    separately), dh1 and ddh1 its first two time derivatives, h2 the
+    pool-scaled slope (N - y2) * dh1 and dh2 its derivative.
+    """
     if y1 <= 0:
         raise SingularPointError(
             f"log-derivative chain needs y1 > 0, got y1={y1!r} (t={t!r})"
@@ -102,10 +71,7 @@ def _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, N):
     a2 = d2y1 / y1
     a3 = d3y1 / y1
     dh1 = a2 - a1 * a1
-    try:
-        ddh1 = a3 - 3.0 * a1 * a2 + 2.0 * a1 ** 3
-    except OverflowError:  # a float power raises where a float product gives inf
-        ddh1 = math.inf
+    ddh1 = a3 - 3.0 * a1 * a2 + 2.0 * (a1 * a1 * a1)
     h2 = (N - y2) * dh1
     dh2 = -dy2 * dh1 + (N - y2) * ddh1
     # One product checks the five values, as in the recoveries' jet check.
@@ -219,7 +185,7 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     # difference to roundoff.
     a2 = d2y1 / y1
     a3 = d3y1 / y1
-    beta_i = N * (4.0 * a1 * a2 - 3.0 * a1 ** 3 - a3) / dh1
+    beta_i = N * (4.0 * a1 * a2 - 3.0 * (a1 * a1 * a1) - a3) / dh1
     if beta_i == 0.0:
         raise DegenerateInputError(f"beta*I vanishes at t={t!r}")
     alpha = -N * dh1 / beta_i - h1
@@ -254,7 +220,7 @@ def check_initial_inequalities(params, epsilon: float) -> dict:
         params.alpha
         * params.beta
         * params.rho
-        * epsilon ** 2
+        * (epsilon * epsilon)
         * (params.beta - params.alpha)
         * depletion
     )

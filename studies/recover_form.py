@@ -8,7 +8,10 @@ inline, takes the log-derivative chain as a plain tuple from
 form called `_check_finite`, `recover_rho` and `h_chain`, filtered each
 root through `_admissible` and checked the rates in `_checked`, building
 an `HChain` and a `RecoveredParams` through the named tuples' `__new__`;
-`helper_full` and `helper_simplified` below keep that form. This study
+`helper_full` and `helper_simplified` below keep that form, with their
+own `_HChain` (`siqr.identify` no longer has one) and with each cube
+written as a product, as `siqr.identify` writes it, so that both forms
+do the same arithmetic. This study
 checks that the two return the same values, by `repr`, or raise the same
 exception class with the same message, on jets drawn from 20-day
 outbreaks of both kinds (late full-model jets raise
@@ -24,14 +27,25 @@ import argparse
 import math
 import statistics
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from siqr import (DegenerateInputError, IntegratorConfig, ModelKind, ModelParams, OutputJet,
                   RegimeError, RootSelectionError, SingularPointError, integrate, output_jets,
                   recover_full, recover_simplified, vector_field)
-from siqr.identify import HChain, RecoveredParams
+from siqr.identify import RecoveredParams
 from siqr.models import is_full
+
+
+class _HChain(NamedTuple):
+    """The log-derivative chain of y1, as `identify._chain` returns it."""
+
+    h1: float
+    dh1: float
+    ddh1: float
+    h2: float
+    dh2: float
 
 
 def _check_finite(jet):
@@ -62,17 +76,14 @@ def _h_chain(jet, N):
     a2 = jet.d2y1 / jet.y1
     a3 = jet.d3y1 / jet.y1
     dh1 = a2 - a1 * a1
-    try:
-        ddh1 = a3 - 3.0 * a1 * a2 + 2.0 * a1 ** 3
-    except OverflowError:
-        ddh1 = math.inf
+    ddh1 = a3 - 3.0 * a1 * a2 + 2.0 * (a1 * a1 * a1)
     h2 = (N - jet.y2) * dh1
     dh2 = -jet.dy2 * dh1 + (N - jet.y2) * ddh1
     if not 0.0 * a1 * dh1 * ddh1 * h2 * dh2 == 0.0:
         raise DegenerateInputError(
             f"log-derivative chain overflows, dy1/y1={a1!r} (t={jet.t!r})"
         )
-    return HChain(a1, dh1, ddh1, h2, dh2)
+    return _HChain(a1, dh1, ddh1, h2, dh2)
 
 
 def _admissible(x, chain, rho, jet):
@@ -152,7 +163,7 @@ def helper_simplified(jet, y1_at_0, N):
     a1 = chain.h1
     a2 = jet.d2y1 / jet.y1
     a3 = jet.d3y1 / jet.y1
-    beta_i = N * (4.0 * a1 * a2 - 3.0 * a1 ** 3 - a3) / chain.dh1
+    beta_i = N * (4.0 * a1 * a2 - 3.0 * (a1 * a1 * a1) - a3) / chain.dh1
     if beta_i == 0.0:
         raise DegenerateInputError(f"beta*I vanishes at t={jet.t!r}")
     alpha = -N * chain.dh1 / beta_i - h1
@@ -180,7 +191,7 @@ _BOTH = [
     (_JET._replace(d2y2=-_INF), 0.7, 1e5, "DegenerateInputError: jet entry d2y2 must be finite"),
     (_JET._replace(y2=0.0), 0.7, 1e5, "SingularPointError: rho recovery needs y2 > 0"),
     (_JET._replace(y1=-1.0), 0.7, 1e5, "SingularPointError: log-derivative chain needs y1 > 0"),
-    # dy1/y1 = 1e103, whose float cube raises OverflowError.
+    # dy1/y1 = 1e103, whose cube overflows to inf, so dh2 = inf.
     (_JET._replace(y1=1.0, dy1=1e103, d2y1=-1.0, d3y1=0.0), 0.7, 1e5,
      "DegenerateInputError: log-derivative chain overflows"),
     # dy1/y1 = -inf, so dh2 = inf - inf.

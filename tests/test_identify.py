@@ -17,10 +17,9 @@ from siqr import (
     integrate,
     output_jets,
     recover_full,
-    recover_rho,
     recover_simplified,
 )
-from siqr.identify import HChain, RecoveredParams, h_chain
+from siqr.identify import RecoveredParams, _chain
 from siqr.models import vector_field
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
@@ -37,27 +36,31 @@ def jet_at(params, kind, t, x0, dt=0.01):
     return output_jets(state, params, kind, t=t), traj
 
 
-def test_recover_rho_from_plain_arithmetic_jet():
-    jet = OutputJet(t=0.0, y1=0.7, dy1=0.0, d2y1=0.0, d3y1=0.0, y2=5.0, dy2=0.2, d2y2=0.0)
-    assert recover_rho(jet) == pytest.approx((0.7 - 0.2) / 5.0, rel=1e-15)
+@pytest.mark.parametrize(
+    "kind, recover",
+    [(ModelKind.FULL, recover_full), (ModelKind.SIMPLIFIED, recover_simplified)],
+    ids=["full", "simplified"],
+)
+def test_recovered_rho_is_read_off_the_quarantine(kind, recover):
+    jet = output_jets(EpidemicState(99985, 10, 5, 0), REF, kind)
+    rec = recover(jet, y1_at_0=0.7, N=REF.N)
+    assert rec.rho == (jet.y1 - jet.dy2) / jet.y2
+    assert rec.rho == pytest.approx(0.1, rel=1e-12)
 
 
-def test_recover_rho_exact_on_analytic_jet():
-    jet = output_jets(EpidemicState(99985, 10, 5, 0), REF, ModelKind.SIMPLIFIED)
-    assert recover_rho(jet) == pytest.approx(0.1, rel=1e-12)
-
-
-def test_recover_rho_singular_at_empty_quarantine():
+@pytest.mark.parametrize("recover", [recover_full, recover_simplified], ids=["full", "simplified"])
+def test_rho_recovery_singular_at_empty_quarantine(recover):
     jet = OutputJet(t=0.0, y1=0.7, dy1=0.0, d2y1=0.0, d3y1=0.0, y2=0.0, dy2=0.2, d2y2=0.0)
-    with pytest.raises(SingularPointError):
-        recover_rho(jet)
+    message = r"^rho recovery needs y2 > 0, got y2=0\.0 \(t=0\.0\)$"
+    with pytest.raises(SingularPointError, match=message):
+        recover(jet, y1_at_0=0.7, N=1e5)
 
 
-def test_recover_rho_is_time_invariant():
+def test_recovered_rho_is_time_invariant():
     values = []
     for t in (0.5, 3.0):
         jet, _ = jet_at(REF, ModelKind.FULL, t, outbreak_state(REF, 10.0))
-        values.append(recover_rho(jet))
+        values.append(recover_full(jet, y1_at_0=0.7, N=REF.N).rho)
     assert values[0] == pytest.approx(values[1], rel=1e-9)
 
 
@@ -110,10 +113,10 @@ def test_beta_routes_agree():
     rec = recover_full(jet, y1_at_0=REF.alpha * epsilon, N=REF.N)
     state0 = EpidemicState.from_array(outbreak_state(REF, epsilon))
     jet0 = output_jets(state0, REF, ModelKind.FULL)
-    chain0 = h_chain(jet0, REF.N)
-    a_coef = chain0.dh1
-    b_coef = chain0.h2 * chain0.h1 - chain0.dh2
-    c_coef = chain0.h2 * (-chain0.h1 * jet0.dy2 + jet0.d2y2)
+    h1, dh1, _, h2, dh2 = _chain(*jet0[:7], REF.N)
+    a_coef = dh1
+    b_coef = h2 * h1 - dh2
+    c_coef = h2 * (-h1 * jet0.dy2 + jet0.d2y2)
     roots = np.roots([a_coef, b_coef, c_coef])
     x0 = roots[roots < 0]
     assert x0.size == 1
@@ -169,21 +172,12 @@ def test_recover_simplified_rejects_positive_dh1():
 _FINITE_JET = OutputJet(t=2.5, y1=0.7, dy1=0.1, d2y1=0.02, d3y1=0.003, y2=5.0, dy2=0.2, d2y2=0.01)
 
 
-def rho_of_jet(jet, y1_at_0, N):
-    return recover_rho(jet)
-
-
-def chain_of_jet(jet, y1_at_0, N):
-    return h_chain(jet, N)
-
-
-@pytest.mark.parametrize("recover", [recover_full, recover_simplified, rho_of_jet, chain_of_jet])
+@pytest.mark.parametrize("recover", [recover_full, recover_simplified])
 @pytest.mark.parametrize("entry", ["y1", "d3y1"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_recovery_rejects_a_jet_entry_that_is_not_finite(recover, entry, value):
-    # Without the check, y1 = nan gives nan rates from recover_simplified,
-    # an "ambiguous root selection" from recover_full, a nan rho from
-    # recover_rho and a "log-derivative chain overflows" from h_chain.
+    # Without the check, y1 = nan gives nan rates from recover_simplified
+    # and an "ambiguous root selection" from recover_full.
     jet = _FINITE_JET._replace(**{entry: value})
     message = rf"^jet entry {entry} must be finite, got .* \(t=2\.5\)$"
     with pytest.raises(DegenerateInputError, match=message):
@@ -192,9 +186,11 @@ def test_recovery_rejects_a_jet_entry_that_is_not_finite(recover, entry, value):
 
 @pytest.mark.parametrize("recover", [recover_full, recover_simplified])
 def test_recovery_rejects_a_log_derivative_that_overflows_its_cube(recover):
-    # dy1/y1 = 1e103: its cube overflows, which a float power raises.
+    # dy1/y1 = 1e103: its cube, a float product, overflows to inf, and
+    # the chain's one-product check catches the infinite ddh1 and dh2.
     jet = _FINITE_JET._replace(y1=1.0, dy1=1e103, d2y1=-1.0, d3y1=0.0)
-    with pytest.raises(DegenerateInputError, match="overflows"):
+    message = r"^log-derivative chain overflows, dy1/y1=1e\+103 \(t=2\.5\)$"
+    with pytest.raises(DegenerateInputError, match=message):
         recover(jet, y1_at_0=0.7, N=1e5)
 
 
@@ -221,7 +217,7 @@ def test_recovery_rejects_a_finite_jet_whose_ratios_overflow(recover, jet):
 @pytest.mark.parametrize(
     "jet, match",
     [
-        # dh1 = -1 and 4*a1*a2 - 3*a1**3 - a3 = 0, so beta*I = 0.
+        # dh1 = -1 and 4*a1*a2 - 3*a1*a1*a1 - a3 = 0, so beta*I = 0.
         (OutputJet(t=1.0, y1=1.0, dy1=0.0, d2y1=-1.0, d3y1=0.0, y2=1.0, dy2=0.5, d2y2=0.0),
          r"beta\*I vanishes"),
         # beta*I = 2 and alpha = 1/2 - rho with rho = (1 - 0.5)/1.
@@ -342,11 +338,10 @@ _JET_FIELDS = ("t", "y1", "dy1", "d2y1", "d3y1", "y2", "dy2", "d2y2")
         (OutputJet, _FINITE_JET, _JET_FIELDS),
         (OutputJet, output_jets(EpidemicState(99985, 10, 5, 0), REF, ModelKind.FULL, t=1),
          _JET_FIELDS),
-        (HChain, h_chain(_FINITE_JET, 1e5), ("h1", "dh1", "ddh1", "h2", "dh2")),
         (RecoveredParams, recover_full(_LITERAL_JETS[0][1], 0.7, 1e5),
          ("rho", "alpha", "beta", "epsilon")),
     ],
-    ids=["OutputJet", "output_jets", "HChain", "RecoveredParams"],
+    ids=["OutputJet", "output_jets", "RecoveredParams"],
 )
 def test_recovery_values_are_tuples_of_floats_in_field_order(cls, value, fields):
     assert type(value) is cls and isinstance(value, tuple)

@@ -142,6 +142,27 @@ def test_src_takes_logs_only_in_the_observer_input_map():
     assert inside > 0
 
 
+def test_src_takes_no_float_power():
+    # A float `**` is libm's `pow`: its last bit follows the host's FMA
+    # dispatch, it differs from the product on about a quarter of inputs,
+    # and it raises OverflowError where a product gives inf. Cubes and
+    # squares are written as products; a power of int literals, as
+    # `MAX_STEPS = 10**6`, is exact.
+    powers = []
+    for path in sorted((ROOT / "src" / "siqr").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+                operands = (node.target, node.value)
+            else:
+                continue
+            if not all(isinstance(x, ast.Constant) and type(x.value) is int for x in operands):
+                powers.append(f"{path.name}:{node.lineno}")
+    assert powers == []
+
+
 def test_field_bodies_hold_no_int_literal():
     # The bodies run on Python floats. CPython 3.11 specializes a compare
     # or an arithmetic op of two floats, not of a float and an int:
