@@ -41,7 +41,7 @@ def jet_at(params, kind, t, x0, dt=0.01):
     [(ModelKind.FULL, recover_full), (ModelKind.SIMPLIFIED, recover_simplified)],
     ids=["full", "simplified"],
 )
-def test_recovered_rho_is_read_off_the_quarantine(kind, recover):
+def test_recover_rho_exact_on_analytic_jet(kind, recover):
     jet = output_jets(EpidemicState(99985, 10, 5, 0), REF, kind)
     rec = recover(jet, y1_at_0=0.7, N=REF.N)
     assert rec.rho == (jet.y1 - jet.dy2) / jet.y2
@@ -49,18 +49,23 @@ def test_recovered_rho_is_read_off_the_quarantine(kind, recover):
 
 
 @pytest.mark.parametrize("recover", [recover_full, recover_simplified], ids=["full", "simplified"])
-def test_rho_recovery_singular_at_empty_quarantine(recover):
+def test_recover_rho_singular_at_empty_quarantine(recover):
     jet = OutputJet(t=0.0, y1=0.7, dy1=0.0, d2y1=0.0, d3y1=0.0, y2=0.0, dy2=0.2, d2y2=0.0)
     message = r"^rho recovery needs y2 > 0, got y2=0\.0 \(t=0\.0\)$"
     with pytest.raises(SingularPointError, match=message):
         recover(jet, y1_at_0=0.7, N=1e5)
 
 
-def test_recovered_rho_is_time_invariant():
+@pytest.mark.parametrize(
+    "kind, recover",
+    [(ModelKind.FULL, recover_full), (ModelKind.SIMPLIFIED, recover_simplified)],
+    ids=["full", "simplified"],
+)
+def test_recover_rho_is_time_invariant(kind, recover):
     values = []
     for t in (0.5, 3.0):
-        jet, _ = jet_at(REF, ModelKind.FULL, t, outbreak_state(REF, 10.0))
-        values.append(recover_full(jet, y1_at_0=0.7, N=REF.N).rho)
+        jet, _ = jet_at(REF, kind, t, outbreak_state(REF, 10.0))
+        values.append(recover(jet, y1_at_0=0.7, N=REF.N).rho)
     assert values[0] == pytest.approx(values[1], rel=1e-9)
 
 
@@ -169,15 +174,20 @@ def test_recover_simplified_rejects_positive_dh1():
         recover_simplified(jet, y1_at_0=1.0, N=1e5)
 
 
+_JET_FIELDS = ("t", "y1", "dy1", "d2y1", "d3y1", "y2", "dy2", "d2y2")
+
+
 _FINITE_JET = OutputJet(t=2.5, y1=0.7, dy1=0.1, d2y1=0.02, d3y1=0.003, y2=5.0, dy2=0.2, d2y2=0.01)
 
 
 @pytest.mark.parametrize("recover", [recover_full, recover_simplified])
-@pytest.mark.parametrize("entry", ["y1", "d3y1"])
+@pytest.mark.parametrize("entry", _JET_FIELDS[1:])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_recovery_rejects_a_jet_entry_that_is_not_finite(recover, entry, value):
     # Without the check, y1 = nan gives nan rates from recover_simplified
-    # and an "ambiguous root selection" from recover_full.
+    # and an "ambiguous root selection" from recover_full. Every entry is
+    # a case: one left out of the recoveries' one-product check would
+    # reach the chain or the rates and raise another message.
     jet = _FINITE_JET._replace(**{entry: value})
     message = rf"^jet entry {entry} must be finite, got .* \(t=2\.5\)$"
     with pytest.raises(DegenerateInputError, match=message):
@@ -327,9 +337,6 @@ def test_recovery_of_numpy_float64_entries_returns_the_same_python_floats(recove
     assert type(rec) is RecoveredParams
     assert [type(v) for v in rec] == [float] * 4
     assert [repr(v) for v in rec] == [repr(v) for v in recover(jet, y1_at_0=0.7, N=1e5)]
-
-
-_JET_FIELDS = ("t", "y1", "dy1", "d2y1", "d3y1", "y2", "dy2", "d2y2")
 
 
 @pytest.mark.parametrize(
