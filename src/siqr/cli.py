@@ -105,8 +105,9 @@ def simulate_truth(scenario: Scenario):
 
 
 def make_measurements(scenario: Scenario, noisy: bool):
-    """Truth, clean and measured output series. Noise is drawn only if
-    `noisy` and relative_sigma > 0: `check` needs no draw, which can overflow."""
+    """Truth, clean and measured output series; noise is drawn only if
+    `noisy` and relative_sigma > 0. Only `bench/workloads.py` passes
+    noisy=False; the parameter goes when the bench moves (ROADMAP item 1)."""
     traj = simulate_truth(scenario)
     clean = observe(traj, scenario.alpha)
     if noisy and scenario.relative_sigma > 0:
@@ -117,23 +118,23 @@ def make_measurements(scenario: Scenario, noisy: bool):
 def estimate_scenario(scenario: Scenario):
     """Simulate, measure and run the observer as `siqr estimate` does.
 
-    The observer's flow block models the scenario's model kind, and its
-    measured components start from the guarded first samples (the raw
-    ones may have been noise-clamped to zero). Returns (truth
-    trajectory, observer run).
+    The flow block models the scenario's kind. The record is guarded
+    here, once: the observer starts from the guarded first samples and
+    runs on the guarded record (noise may clamp samples to zero).
+    Returns (truth, observer run, (y1, y2) guard substitution counts).
     """
     traj, _, measurements = make_measurements(scenario, True)
-    guarded, _, _ = guard_measurements(measurements)
+    guarded, subs_y1, subs_y2 = guard_measurements(measurements)
     init = scenario.observer_init(guarded.y1[0], guarded.y2[0])
     run = run_observer(
-        measurements,
+        guarded,
         scenario.gain_set(),
         scenario.N,
         init,
         scenario.integrator_config(),
         scenario.kind,
     )
-    return traj, run
+    return traj, run, (subs_y1, subs_y2)
 
 
 def cmd_simulate(scenario: Scenario) -> Path:
@@ -160,7 +161,7 @@ def cmd_estimate(scenario: Scenario):
     Writes estimates.csv and summary.txt, prints the summary, and
     returns (run, truth trajectory, smoothed infected estimate).
     """
-    traj, run = estimate_scenario(scenario)
+    traj, run, substitutions = estimate_scenario(scenario)
     est = run.estimates
     try:
         i_hat_smoothed = moving_average(est.I_hat, scenario.smooth_window)
@@ -181,8 +182,7 @@ def cmd_estimate(scenario: Scenario):
     nan_times = est.times[np.isnan(est.I_hat)]
     report["I_hat.finite_frac"] = float(np.isfinite(est.I_hat).mean())
     report["I_hat.last_nan_t"] = float(nan_times[-1]) if nan_times.size else math.nan
-    report["guard_substitutions.y1"] = run.substitutions_y1
-    report["guard_substitutions.y2"] = run.substitutions_y2
+    report["guard_substitutions.y1"], report["guard_substitutions.y2"] = substitutions
     report["decay_bound"] = scenario.gain_set().decay_bound
     summary = _report(report)
     (out / "summary.txt").write_text(summary)
@@ -217,7 +217,7 @@ def cmd_check(scenario: Scenario):
     the observer's RK4 step is too long for its fastest pole. A run that
     diverges raises as `simulate` does.
     """
-    _, clean, _ = make_measurements(scenario, noisy=False)
+    clean = observe(simulate_truth(scenario), scenario.alpha)
     report = {}
     for prefix, facts in (
         ("assumption", check_assumptions(scenario.params())),

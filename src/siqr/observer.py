@@ -257,18 +257,17 @@ class EstimateSeries:
 
 @dataclass
 class ObserverRun:
-    """Observer trajectory, derived estimates, and guard bookkeeping."""
+    """Observer trajectory and the estimates derived from it."""
 
     trajectory: Trajectory
     estimates: EstimateSeries
-    substitutions_y1: int
-    substitutions_y2: int
 
 
 def _check_record(measurements: OutputSeries, end: float) -> None:
     """Raise ValueError naming the series of a record that `np.interp`
     cannot read over [0, end]: times not finite, not strictly increasing
-    or not covering it, or a y1 or y2 without one sample per time."""
+    or not covering it, or a y1 or y2 without one sample per time; then
+    MeasurementError naming the channel and time of a non-positive sample."""
     times = np.asarray(measurements.times, dtype=float)
     for name in ("y1", "y2"):
         shape = np.shape(getattr(measurements, name))
@@ -282,6 +281,12 @@ def _check_record(measurements: OutputSeries, end: float) -> None:
     if times.size == 0 or times[0] > 1e-12 or times[-1] < end - 1e-9:
         covers = f"covers [{times[0]:.6g}, {times[-1]:.6g}]" if times.size else "is empty"
         raise ValueError(f"input series {covers} but the integration needs [0, {end:.6g}]")
+    for name in ("y1", "y2"):
+        y = np.asarray(getattr(measurements, name), dtype=float)
+        if not (y > 0).all():
+            i = int(np.argmin(y > 0))  # the first sample that is not positive
+            raise MeasurementError(f"observer needs positive measurements, got "
+                                   f"{name}={float(y[i])!r} at t={times[i]:.6g}")
 
 
 def run_observer(
@@ -295,18 +300,18 @@ def run_observer(
     """Integrate the observer over a measurement record.
 
     `kind` selects the flow block's curvature model (see
-    `observer_rhs`). Measurements are guarded against non-positive
-    samples first; the infected-count estimate uses the guarded y1.
-    The observer is driven by the guarded record interpolated linearly
-    at the RK4 stage times, so the record must cover [0, horizon], its
-    times must be finite and strictly increasing, and y1 and y2 must
-    have one sample per time (ValueError naming the series otherwise).
-    Raises DivergenceError (from `integrate`, with the first bad time)
-    if the state stops being finite.
+    `observer_rhs`). The observer is driven by the record interpolated
+    linearly at the RK4 stage times, so the record must cover
+    [0, horizon], its times must be finite and strictly increasing, and
+    y1 and y2 must have one sample per time (ValueError naming the
+    series otherwise). Like `observer_rhs`, it takes positive samples
+    only; call `guard_measurements` first (MeasurementError naming the
+    channel and the first bad time otherwise). I_hat reads y1 of the
+    record. Raises DivergenceError (from `integrate`, with the first bad
+    time) if the state stops being finite.
     """
     _check_record(measurements, cfg.n_steps * cfg.dt)
-    guarded, subs1, subs2 = guard_measurements(measurements)
-    times, y1, y2 = guarded.times, guarded.y1, guarded.y2
+    times, y1, y2 = measurements.times, measurements.y1, measurements.y2
 
     def inputs(at):
         # Linear interpolation: a zero-order hold would bias the observer
@@ -319,7 +324,7 @@ def run_observer(
     clamp = k_hat * k_hat - 4.0 * delta_hat * k_hat < 0
     beta = beta_hat(k_hat, delta_hat)
     alpha_hat = beta - delta_hat
-    y1_on_grid = np.interp(traj.times, guarded.times, guarded.y1)
+    y1_on_grid = np.interp(traj.times, times, y1)
     with np.errstate(divide="ignore", invalid="ignore"):
         i_hat = np.where(alpha_hat > ALPHA_FLOOR, y1_on_grid / alpha_hat, np.nan)
     estimates = EstimateSeries(
@@ -330,12 +335,7 @@ def run_observer(
         I_hat=i_hat,
         clamp_active=clamp,
     )
-    return ObserverRun(
-        trajectory=traj,
-        estimates=estimates,
-        substitutions_y1=subs1,
-        substitutions_y2=subs2,
-    )
+    return ObserverRun(trajectory=traj, estimates=estimates)
 
 
 def assemble_m1(K: GainSet) -> np.ndarray:

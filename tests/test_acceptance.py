@@ -134,7 +134,7 @@ def test_criterion_3_identifiability_round_trip_simplified():
 
 def _reference_estimation(noisy):
     sc = Scenario()
-    traj, run = estimate_scenario(sc if noisy else replace(sc, relative_sigma=0.0))
+    traj, run, _ = estimate_scenario(sc if noisy else replace(sc, relative_sigma=0.0))
     return sc, traj, run
 
 

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import siqr.cli
-from siqr import ConfigError, ModelKind, Scenario, output_jets, parse_scenario
+import siqr.observer
+from siqr import ConfigError, MeasurementError, ModelKind, Scenario, output_jets, parse_scenario
 from siqr.cli import (
     cmd_check,
     cmd_estimate,
@@ -28,11 +29,11 @@ from siqr.cli import (
     main,
     simulate_truth,
 )
-from siqr.cli import estimate_scenario
+from siqr.cli import estimate_scenario, make_measurements
 from siqr.integrator import IntegratorConfig, Trajectory
 from siqr.models import ModelParams, vector_field
 from siqr.observation import NoiseSpec, observe
-from siqr.observer import _observer_field, gains
+from siqr.observer import _inputs, _observer_field, gains, guard_measurements, run_observer
 from siqr.scenario import DEFAULT_LAMBDA, REFERENCE_MU
 
 
@@ -266,7 +267,7 @@ def test_numpy_valued_settings_run_on_python_floats(kind):
     rates = ("beta", "rho", "alpha", "N")
     drawn = replace(sc, **{name: np.float64(getattr(sc, name)) for name in rates})
     assert type(drawn.N) is np.float64  # the scenario keeps the values given
-    (truth, run), (truth_np, run_np) = estimate_scenario(sc), estimate_scenario(drawn)
+    (truth, run, _), (truth_np, run_np, _) = estimate_scenario(sc), estimate_scenario(drawn)
     assert truth_np.states.tobytes() == truth.states.tobytes()
     assert run_np.trajectory.states.tobytes() == run.trajectory.states.tobytes()
 
@@ -513,9 +514,46 @@ def test_summary_report_keys_and_values(tmp_path, capsys):
     # The reference run has an infected estimate from t = 6.89 on only.
     assert fields["I_hat.finite_frac"] == repr(314 / 1001)
     assert fields["I_hat.last_nan_t"] == "6.88"
-    assert fields["guard_substitutions.y1"] == str(run.substitutions_y1)
-    assert fields["guard_substitutions.y2"] == str(run.substitutions_y2)
+    # The noise-free record starts at Q0 = 5 > 0: nothing is substituted.
+    assert fields["guard_substitutions.y1"] == "0"
+    assert fields["guard_substitutions.y2"] == "0"
     assert fields["decay_bound"] == repr(sc.gain_set().decay_bound)
+
+
+def test_estimate_guards_the_record_once(monkeypatch):
+    # The pipeline owns the guard; the observer only checks the record.
+    calls = []
+
+    def counted(series):
+        calls.append(series)
+        return guard_measurements(series)
+
+    monkeypatch.setattr(siqr.cli, "guard_measurements", counted)
+    monkeypatch.setattr(siqr.observer, "guard_measurements", counted)
+    estimate_scenario(Scenario())
+    assert len(calls) == 1
+
+
+def test_estimate_guards_a_zero_start_and_reports_it(tmp_path, capsys):
+    # With init.Q0 = 0 the record's y2 = Q starts at 0, the one sample
+    # the guard substitutes. The pipeline counts it, starts the observer
+    # from the guarded y2[0] and writes the counts to the summary; the
+    # observer refuses the raw record, naming y2 at t = 0.
+    sc = scenario_in(tmp_path, "init.Q0 = 0")
+    _, run, substitutions = estimate_scenario(sc)
+    assert substitutions == (0, 1)
+    _, _, measurements = make_measurements(sc, True)
+    guarded, _, _ = guard_measurements(measurements)
+    z2 = _inputs([guarded.y1[0]], [guarded.y2[0]])[0, 3]
+    assert run.trajectory.states[0, 1].tobytes() == z2.tobytes()
+    init = sc.observer_init(guarded.y1[0], guarded.y2[0])
+    with pytest.raises(MeasurementError) as excinfo:
+        run_observer(measurements, sc.gain_set(), sc.N, init, sc.integrator_config(), sc.kind)
+    assert str(excinfo.value) == "observer needs positive measurements, got y2=0.0 at t=0"
+    cmd_estimate(sc)
+    fields = _report_fields(capsys.readouterr().out)
+    assert fields["guard_substitutions.y1"] == "0"
+    assert fields["guard_substitutions.y2"] == "1"
 
 
 @pytest.mark.parametrize("kind", ["full", "simplified"])

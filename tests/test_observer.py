@@ -111,15 +111,29 @@ def test_observer_rhs_zero_innovation():
     assert d[6] == 0.0
 
 
-def test_observer_rhs_rejects_nonpositive_measurements():
-    x = consistent_state(1.0, 1.0, 0.3, 0.1, 0.2, 1.0)
-    with pytest.raises(MeasurementError):
-        observer_rhs(x, 0.0, 1.0, REF_GAINS, 1e5)
-    with pytest.raises(MeasurementError):
-        observer_rhs(x, 1.0, -2.0, REF_GAINS, 1e5)
-    for y1, y2 in ((float("nan"), 1.0), (1.0, float("nan"))):
-        with pytest.raises(MeasurementError):
-            observer_rhs(x, y1, y2, REF_GAINS, 1e5)
+@pytest.mark.parametrize("channel", ["y1", "y2"])
+@pytest.mark.parametrize("bad", [0.0, -2.0, float("nan")], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("entry", ["observer_rhs", "run_observer"])
+def test_observer_entry_points_reject_nonpositive_measurements(entry, channel, bad):
+    # One input rule for both entry points: neither guards, and a sample
+    # that is not positive raises MeasurementError naming its channel.
+    # run_observer also names the first bad time: t = 0.3, ahead of a
+    # second bad sample at t = 0.7.
+    if entry == "observer_rhs":
+        x = consistent_state(1.0, 1.0, 0.3, 0.1, 0.2, 1.0)
+        y = {"y1": 1.0, "y2": 1.0, channel: bad}
+        with pytest.raises(MeasurementError, match=re.escape(f"{channel}={bad!r}")):
+            observer_rhs(x, y["y1"], y["y2"], REF_GAINS, 1e5)
+        return
+    series = linear_series(horizon=1.0, dt=0.1)
+    samples = getattr(series, channel).copy()
+    samples[[3, 7]] = bad
+    record = replace(series, **{channel: samples})
+    init = consistent_state(0.7, 5.0, DELTA, RHO, DELTA - RHO, 0.0)
+    with pytest.raises(MeasurementError) as excinfo:
+        run_observer(record, REF_GAINS, 1e5, init, IntegratorConfig(dt=0.1, horizon=1.0))
+    expected = f"observer needs positive measurements, got {channel}={bad!r} at t=0.3"
+    assert str(excinfo.value) == expected
 
 
 def test_observer_error_dynamics_match_block_matrices():
@@ -151,7 +165,7 @@ def test_compiled_field_jacobian_is_the_designed_error_matrix(kind):
     from siqr.cli import estimate_scenario, make_measurements
 
     sc = Scenario(kind=kind, relative_sigma=0.0)
-    _, run = estimate_scenario(sc)
+    _, run, _ = estimate_scenario(sc)
     _, clean, _ = make_measurements(sc, False)
     gs = sc.gain_set()
     field = _observer_field(gs, sc.N, kind)
@@ -559,7 +573,7 @@ def test_reference_run_characterisation_noise_free():
     from siqr.cli import estimate_scenario
 
     sc = Scenario()
-    _, run = estimate_scenario(replace(sc, relative_sigma=0.0))
+    _, run, _ = estimate_scenario(replace(sc, relative_sigma=0.0))
     est = run.estimates
     k_true = sc.beta**2 / sc.alpha
     assert abs(est.rho_hat[-1] - sc.rho) / sc.rho < 0.05

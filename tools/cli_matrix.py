@@ -26,10 +26,11 @@ field forms, as registered in linecache), one line each:
 so a diff also shows whether the generated hot loop changed. The
 `library` case runs one process that digests, for each kind, library
 entry points that no command reaches (`identify --t` reaches one jet).
-On the noisy reference run: the
-observer's start `Scenario.observer_init` and `observer_rhs` at every
-10th observer state, driven by that row's guarded measurements. On the
-noise-free reference run over 20 days: `output_jets` at every 10th
+On the noisy reference run: the observer's start (the run's first
+state, `Scenario.observer_init` of the guarded first samples) and
+`observer_rhs` at every 10th observer state, driven by that row's
+measurements (all positive, so the guard leaves them as they are). On
+the noise-free reference run over 20 days: `output_jets` at every 10th
 state, and the recovery at each of those jets, its returned values or
 the class name and message of what it raised:
 
@@ -101,15 +102,15 @@ for name in sorted(name for name in linecache.cache if name.startswith("<siqr ")
 _LIBRARY = """\
 import hashlib
 import numpy as np
-from siqr import (ModelKind, Scenario, gains, guard_measurements, observer_rhs, output_jets,
-                  recover_full, recover_simplified, verify_pole_placement)
+from siqr import (ModelKind, Scenario, gains, observer_rhs, output_jets, recover_full,
+                  recover_simplified, verify_pole_placement)
 from siqr.cli import estimate_scenario, make_measurements, simulate_truth
 for kind in ModelKind:
     sc = Scenario(kind=kind)
-    _, run = estimate_scenario(sc)
-    guarded, _, _ = guard_measurements(make_measurements(sc, True)[2])
-    init = sc.observer_init(guarded.y1[0], guarded.y2[0])
-    rows = zip(run.trajectory.states[::10], guarded.y1[::10], guarded.y2[::10])
+    run = estimate_scenario(sc)[1]
+    init = run.trajectory.states[0]
+    record = make_measurements(sc, True)[2]
+    rows = zip(run.trajectory.states[::10], record.y1[::10], record.y2[::10])
     rhs = [observer_rhs(x, y1, y2, sc.gain_set(), sc.N, kind) for x, y1, y2 in rows]
     truth = simulate_truth(Scenario(kind=kind, horizon=20.0))
     rows = zip(truth.states[::10].tolist(), truth.times[::10].tolist())
