@@ -221,7 +221,7 @@ def cmd_check(scenario: Scenario):
     report = {}
     for prefix, facts in (
         ("assumption", check_assumptions(scenario.params())),
-        ("poles", verify_pole_placement(scenario.lam, scenario.mu, scenario.N)),
+        ("poles", verify_pole_placement(scenario.gain_set(), scenario.N)),
         ("inequality", check_initial_inequalities(scenario.params(), scenario.I0)),
     ):
         report.update({f"{prefix}.{key}": value for key, value in facts.items()})

@@ -321,11 +321,13 @@ def run_observer(
     traj = integrate(_observer_field(K, N, kind), init, cfg, inputs=inputs)
 
     _, _, delta_hat, rho_hat, _, _, k_hat = traj.states.T
-    clamp = k_hat * k_hat - 4.0 * delta_hat * k_hat < 0
-    beta = beta_hat(k_hat, delta_hat)
-    alpha_hat = beta - delta_hat
     y1_on_grid = np.interp(traj.times, times, y1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A finite state can still overflow k_hat**2 or y1/alpha_hat, or give
+    # inf - inf: the estimates then read inf or NaN, with no warning.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        clamp = k_hat * k_hat - 4.0 * delta_hat * k_hat < 0
+        beta = beta_hat(k_hat, delta_hat)
+        alpha_hat = beta - delta_hat
         i_hat = np.where(alpha_hat > ALPHA_FLOOR, y1_on_grid / alpha_hat, np.nan)
     estimates = EstimateSeries(
         times=traj.times,
@@ -407,20 +409,19 @@ def _coeff_error(p, target) -> float:
     # A coefficient equal to its target counts 0, with no division: tiny
     # poles underflow one to 0 in both. Any other against a target 0
     # counts inf, and a NaN is kept.
-    diff = np.abs(p - target)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = np.abs(p - target)
         return float(np.max(np.divide(diff, abs(target), out=np.zeros_like(diff), where=diff != 0)))
 
 
-def verify_pole_placement(lam, mu, N: float) -> dict:
-    """Check that the gain formulas place the error spectra as designed.
+def verify_pole_placement(K: GainSet, N: float) -> dict:
+    """Check that the gains K place the error spectra as designed.
 
-    Compares char_poly(M1) against prod(s + lambda_i) and char_poly(M2)
-    against prod(s + mu_j), coefficient by coefficient.
+    Compares char_poly(M1) against prod(s + K.lam_i) and char_poly(M2)
+    against prod(s + K.mu_j), coefficient by coefficient.
     """
-    gs = gains(lam, mu)
-    err1 = _coeff_error(char_poly(assemble_m1(gs)), np.poly(np.negative(gs.lam)))
-    err2 = _coeff_error(char_poly(assemble_m2(gs, N)), np.poly(np.negative(gs.mu)))
+    err1 = _coeff_error(char_poly(assemble_m1(K)), np.poly(np.negative(K.lam)))
+    err2 = _coeff_error(char_poly(assemble_m2(K, N)), np.poly(np.negative(K.mu)))
     return {
         "m1_ok": err1 < 1e-9,
         "m2_ok": err2 < 1e-9,

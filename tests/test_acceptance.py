@@ -61,11 +61,11 @@ def test_criterion_1_pole_placement_exact_algebra():
     err2 = np.max(np.abs(p2 - target2) / target2)
     rng = np.random.default_rng(1)
     random_ok = all(
-        verify_pole_placement(rng.uniform(0.05, 10.0, 4), rng.uniform(1e-5, 2.0, 3), 1e5)[
-            "m1_ok"
-        ]
+        verify_pole_placement(
+            gains(rng.uniform(0.05, 10.0, 4), rng.uniform(1e-5, 2.0, 3)), 1e5
+        )["m1_ok"]
         and verify_pole_placement(
-            rng.uniform(0.05, 10.0, 4), rng.uniform(1e-5, 2.0, 3), 1e5
+            gains(rng.uniform(0.05, 10.0, 4), rng.uniform(1e-5, 2.0, 3)), 1e5
         )["m2_ok"]
         for _ in range(100)
     )

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import siqr.cli
 import siqr.observer
+import siqr.scenario
 from siqr import ConfigError, MeasurementError, ModelKind, Scenario, output_jets, parse_scenario
 from siqr.cli import (
     cmd_check,
@@ -438,6 +439,21 @@ def test_cmd_check_report(tmp_path, capsys):
     assert "poles.m1_ok = true" in out
 
 
+def test_check_verifies_the_gains_the_scenario_built(monkeypatch):
+    # The pole report reads the scenario's GainSet, the one the observer
+    # runs with, rather than building a second one from the poles.
+    calls = []
+
+    def counted(lam, mu):
+        calls.append((lam, mu))
+        return gains(lam, mu)
+
+    monkeypatch.setattr(siqr.scenario, "gains", counted)
+    monkeypatch.setattr(siqr.observer, "gains", counted)
+    cmd_check(Scenario())
+    assert len(calls) == 1
+
+
 # --- report and CSV writers ----------------------------------------------------
 
 
@@ -851,7 +867,6 @@ _EXTREME_ITEMS = st.lists(
 _SHORT_RUN = {"sim.dt": "0.5", "sim.horizon": "2", "smooth.window": "1"}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on extreme values
 @settings(max_examples=300, deadline=None)
 @example(  # the first RK4 step carries Q past N
     runnable=_SHORT_RUN, extreme={"params.alpha": "50"}, command="simulate", t="1", noisy=True
@@ -866,6 +881,16 @@ _SHORT_RUN = {"sim.dt": "0.5", "sim.horizon": "2", "smooth.window": "1"}
 @example(  # the state overflows without leaving the model's domain
     runnable={**_SHORT_RUN, "model.kind": "simplified", "params.beta": "1e300"},
     extreme={}, command="estimate", t="1", noisy=False,
+)
+@example(  # k_hat * k_hat overflows in the clamp and in beta_hat
+    runnable=_SHORT_RUN, extreme={"observer.k0": "1e300"}, command="estimate", t="1", noisy=False
+)
+@example(  # y1 / alpha_hat overflows at the first sample
+    runnable=_SHORT_RUN, extreme={"observer.delta0": "5e-324"}, command="estimate", t="1", noisy=True
+)
+@example(  # the coefficients overflow: inf - inf in the coefficient error
+    runnable=_SHORT_RUN, extreme={"poles.lambda": "1e308, 1e308, 1e308, 1e308"},
+    command="check", t="1", noisy=True,
 )
 @given(
     runnable=st.fixed_dictionaries(_RUNNABLE, optional=_OPTIONAL),

@@ -312,7 +312,7 @@ def test_char_poly_rejects_large_matrices():
 
 
 def test_verify_pole_placement_reference():
-    report = verify_pole_placement(DEFAULT_LAMBDA, DEFAULT_MU, 1e5)
+    report = verify_pole_placement(REF_GAINS, 1e5)
     assert report["m1_ok"] and report["m2_ok"]
     assert report["max_coeff_error"] < 1e-12
 
@@ -323,7 +323,7 @@ def test_verify_pole_placement_reference():
     mu=st.lists(st.floats(min_value=1e-5, max_value=5.0), min_size=3, max_size=3),
 )
 def test_verify_pole_placement_property(lam, mu):
-    report = verify_pole_placement(lam, mu, 1e5)
+    report = verify_pole_placement(gains(lam, mu), 1e5)
     assert report["m1_ok"] and report["m2_ok"]
 
 
@@ -331,7 +331,7 @@ def test_verify_pole_placement_at_underflowing_flow_poles():
     # At mu = 1e-300 the constant coefficient mu1*mu2*mu3 underflows to 0
     # both in the target and in char_poly(M2). Equal coefficients count no
     # error, with no 0/0 (a RuntimeWarning, an error under pytest).
-    report = verify_pole_placement(DEFAULT_LAMBDA, (1e-300,) * 3, 1e5)
+    report = verify_pole_placement(gains(DEFAULT_LAMBDA, (1e-300,) * 3), 1e5)
     assert report["m1_ok"] and report["m2_ok"]
     assert report["max_coeff_error"] < 1e-12
 
@@ -339,9 +339,17 @@ def test_verify_pole_placement_at_underflowing_flow_poles():
 def test_verify_pole_placement_reports_a_nan_error():
     # At mu = 1e300 the coefficients overflow: the NaN error fails m2_ok
     # and reaches max_coeff_error, which the builtin max would drop.
-    report = verify_pole_placement(DEFAULT_LAMBDA, (1e300,) * 3, 1e5)
+    report = verify_pole_placement(gains(DEFAULT_LAMBDA, (1e300,) * 3), 1e5)
     assert report["m1_ok"] and not report["m2_ok"]
     assert np.isnan(report["max_coeff_error"])
+
+
+def test_verify_pole_placement_reads_the_gains_not_only_the_poles():
+    # Poles that the gains were not built from fail only their own block.
+    report = verify_pole_placement(replace(REF_GAINS, lam=(2.0, 3.0, 4.0, 5.0)), 1e5)
+    assert not report["m1_ok"] and report["m2_ok"]
+    report = verify_pole_placement(replace(REF_GAINS, mu=(1.0, 2.0, 3.0)), 1e5)
+    assert report["m1_ok"] and not report["m2_ok"]
 
 
 def test_coefficient_error_against_a_zero_target_is_infinite():

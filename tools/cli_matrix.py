@@ -40,7 +40,7 @@ the class name and message of what it raised:
 Then, for 100 drawn pairs of pole vectors (each a scale from 1e-11 to
 5e5 times factors from 0.5 to 2) and the all-1e-300 and all-1e300
 pairs: the gains `gains(lam, mu).K` and the report of
-`verify_pole_placement(lam, mu, 1e5)`:
+`verify_pole_placement(gains(lam, mu), 1e5)`:
 
     library  gains  sha256
 
@@ -133,7 +133,7 @@ poles = [tuple((rng.uniform(0.5, 2.0, n) * 10.0 ** rng.uniform(-11.0, 5.7)).toli
 poles = [*zip(poles[::2], poles[1::2]), *(((p,) * 4, (p,) * 3) for p in (1e-300, 1e300))]
 data = np.asarray([gains(lam, mu).K for lam, mu in poles], dtype=float).tobytes()
 print("gains", hashlib.sha256(data).hexdigest(), sep="  ")
-data = "\\n".join(repr(verify_pole_placement(lam, mu, 1e5)) for lam, mu in poles).encode()
+data = "\\n".join(repr(verify_pole_placement(gains(lam, mu), 1e5)) for lam, mu in poles).encode()
 print("verify_pole_placement", hashlib.sha256(data).hexdigest(), sep="  ")
 """
 _SCRIPTS = {"generated": _GENERATED, "library": _LIBRARY}
