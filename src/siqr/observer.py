@@ -59,13 +59,11 @@ class GainSet:
 
     K1..K4 place the 4-state block's spectrum at {-lambda_i}; K5..K7
     place the 3-state block's (rescaled-time) spectrum at {-mu_j}.
-    decay_bound is the slowest pole overall.
     """
 
     lam: tuple
     mu: tuple
     K: tuple
-    decay_bound: float
 
 
 def _pole_vector(name: str, poles, arity: int) -> tuple:
@@ -89,7 +87,7 @@ def gains(lam, mu) -> GainSet:
     s1, s2, s3, s4 = map(float, np.poly(np.negative(lam))[1:])
     m1, m2, m3 = map(float, np.poly(np.negative(mu))[1:])
     K = (s1, s1 + s3, -s4, -(s2 + s4 + 1.0), m1, m2, -m3)
-    return GainSet(lam=lam, mu=mu, K=K, decay_bound=min(min(lam), min(mu)))
+    return GainSet(lam=lam, mu=mu, K=K)
 
 
 class ObserverState(NamedTuple):

@@ -257,7 +257,7 @@ def test_criterion_8_conservation_and_convergence_order():
     )
 
 
-def test_criterion_9_flow_block_error_decay_bound():
+def test_criterion_9_flow_block_error_decays_within_its_bound():
     delta, rho = 0.33, 0.1
     cfg = IntegratorConfig(dt=0.01, horizon=10.0)
     series = linear_regime_series(delta, rho, 0.7, 5.0, cfg.times)

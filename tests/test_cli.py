@@ -379,7 +379,7 @@ def test_cmd_estimate_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "final_rel_error.rho_hat" in out
     assert "guard_substitutions.y1 = 0" in out
-    assert "decay_bound" in out
+    assert "stiffness" in out
     est_path = tmp_path / "out" / "estimates.csv"
     lines = est_path.read_text().splitlines()
     assert lines[0] == "t,rho_hat,beta_hat,alpha_hat,I_hat,I_hat_smoothed,clamp_active"
@@ -521,7 +521,7 @@ def test_summary_report_keys_and_values(tmp_path, capsys):
         "I_hat.last_nan_t",
         "guard_substitutions.y1",
         "guard_substitutions.y2",
-        "decay_bound",
+        "stiffness",
     ]
     for name, true_value in (("rho_hat", sc.rho), ("beta_hat", sc.beta), ("alpha_hat", sc.alpha)):
         final = float(getattr(run.estimates, name)[-1])
@@ -533,7 +533,7 @@ def test_summary_report_keys_and_values(tmp_path, capsys):
     # The noise-free record starts at Q0 = 5 > 0: nothing is substituted.
     assert fields["guard_substitutions.y1"] == "0"
     assert fields["guard_substitutions.y2"] == "0"
-    assert fields["decay_bound"] == repr(sc.gain_set().decay_bound)
+    assert fields["stiffness"] == repr(cmd_check(sc)["stiffness"])
 
 
 def test_estimate_guards_the_record_once(monkeypatch):
@@ -591,7 +591,7 @@ def test_identify_report_keys_and_values(tmp_path, capsys, kind):
     "text, ok, stiffness",
     [
         pytest.param("", True, 0.10, id=""),
-        # At twice the horizon the noise-free alpha_hat ends 18x off.
+        # At twice the horizon estimate refuses the run.
         pytest.param("sim.horizon = 20", True, 0.99, id="sim.horizon = 20"),
         # Fails assumption a1 and the initial signs.
         pytest.param(
@@ -614,7 +614,6 @@ def test_check_report_keys_and_values(tmp_path, capsys, text, ok, stiffness):
         "inequality.dh1_at_0",
         "inequality.cterm_at_0",
         "inequality.ok",
-        "decay_bound",
         "stiffness",
     ]
     for key, value in report.items():
@@ -624,6 +623,60 @@ def test_check_report_keys_and_values(tmp_path, capsys, text, ok, stiffness):
             assert fields[key] == repr(value)
     assert fields["inequality.ok"] == ("true" if ok else "false")
     assert round(report["stiffness"], 2) == stiffness
+
+
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_estimate_runs_inside_the_stiffness_limit(tmp_path, kind):
+    # 15.6 days is the longest reference horizon, in 0.1-day steps, whose
+    # noise-free run ends within criterion 4's 5% on every rate for both
+    # kinds (alpha 4.04% off full, 4.62% simplified).
+    sc = scenario_in(tmp_path, f"model.kind = {kind}\nsim.horizon = 15.6")
+    _, run, _ = estimate_scenario(replace(sc, relative_sigma=0.0))
+    for name, true_value in (("rho_hat", sc.rho), ("beta_hat", sc.beta), ("alpha_hat", sc.alpha)):
+        assert abs(getattr(run.estimates, name)[-1] - true_value) / true_value < 0.05
+
+
+@pytest.mark.parametrize(
+    "kind, horizon",
+    [
+        # The first horizons past 5% on alpha: 5.03% off at stiffness 0.3745
+        # and 5.05% at 0.3925.
+        ("simplified", 15.7),
+        ("full", 15.9),
+        # Run, the noise-free alpha_hat would end 17.7 off (full) and 14.5
+        # off (simplified).
+        ("full", 20.0),
+        ("simplified", 20.0),
+    ],
+)
+def test_estimate_refuses_a_run_past_the_stiffness_limit(tmp_path, capsys, kind, horizon):
+    sc = scenario_in(tmp_path, f"model.kind = {kind}\nsim.horizon = {horizon}")
+    stiffness = cmd_check(sc)["stiffness"]
+    capsys.readouterr()
+    assert stiffness > siqr.cli.STIFFNESS_LIMIT
+    with pytest.raises(ConfigError) as excinfo:
+        estimate_scenario(sc)
+    assert str(excinfo.value) == f"stiffness {stiffness!r} > 0.37 at sim.dt = 0.01"
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"model.kind = {kind}\nsim.horizon = {horizon}\nout.dir = {sc.out_dir}\n")
+    assert main(["estimate", "--config", str(config), "--no-noise"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {excinfo.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_estimate_runs_the_bench_corner(tmp_path, capsys, kind):
+    # The stiffest scenario in the bench's draw ranges (0.3494 full,
+    # 0.3493 simplified) stays under the limit.
+    sc = scenario_in(
+        tmp_path, f"model.kind = {kind}\nparams.beta = 0.5\nparams.rho = 0.08\n"
+        "params.alpha = 0.08\nparams.N = 2e5"
+    )
+    assert 0.349 < cmd_check(sc)["stiffness"] < siqr.cli.STIFFNESS_LIMIT
+    capsys.readouterr()
+    estimate_scenario(sc)
 
 
 # --- argv-level behaviour -----------------------------------------------------
@@ -882,11 +935,15 @@ _SHORT_RUN = {"sim.dt": "0.5", "sim.horizon": "2", "smooth.window": "1"}
     runnable={**_SHORT_RUN, "model.kind": "simplified", "params.beta": "1e300"},
     extreme={}, command="estimate", t="1", noisy=False,
 )
+# The next two step at sim.dt = 0.05 (stiffness 0.08): at _SHORT_RUN's
+# 0.5 (stiffness 0.81) estimate refuses them before the observer runs.
 @example(  # k_hat * k_hat overflows in the clamp and in beta_hat
-    runnable=_SHORT_RUN, extreme={"observer.k0": "1e300"}, command="estimate", t="1", noisy=False
+    runnable={**_SHORT_RUN, "sim.dt": "0.05"}, extreme={"observer.k0": "1e300"},
+    command="estimate", t="1", noisy=False,
 )
 @example(  # y1 / alpha_hat overflows at the first sample
-    runnable=_SHORT_RUN, extreme={"observer.delta0": "5e-324"}, command="estimate", t="1", noisy=True
+    runnable={**_SHORT_RUN, "sim.dt": "0.05"}, extreme={"observer.delta0": "5e-324"},
+    command="estimate", t="1", noisy=True,
 )
 @example(  # the coefficients overflow: inf - inf in the coefficient error
     runnable=_SHORT_RUN, extreme={"poles.lambda": "1e308, 1e308, 1e308, 1e308"},

@@ -28,7 +28,7 @@ from siqr import (
     observer_rhs,
     run_observer,
 )
-from siqr.cli import estimate_scenario, make_measurements
+from siqr.cli import make_measurements
 from siqr.integrator import _BLOCK_ROWS, Field, FieldBody, _rk4_block
 from siqr.models import _SIQR, vector_field
 from siqr.observer import _OBSERVER, _observer_field
@@ -207,9 +207,14 @@ def test_error_in_a_later_block_carries_its_time():
 
 def test_observer_divergence_on_a_long_horizon_carries_its_time():
     # Past 10 days the reference flow poles outrun RK4's stability at
-    # dt = 0.01: y1_hat blows up in the block from step 2048.
+    # dt = 0.01: y1_hat blows up in the block from step 2048. At stiffness
+    # 7.98 estimate_scenario refuses the run, so the observer runs here on
+    # the record that estimate_scenario would guard.
+    sc = dataclasses.replace(Scenario(), horizon=30.0)
+    guarded, _, _ = guard_measurements(make_measurements(sc, True)[2])
+    init = sc.observer_init(guarded.y1[0], guarded.y2[0])
     with pytest.raises(DivergenceError) as excinfo:
-        estimate_scenario(dataclasses.replace(Scenario(), horizon=30.0))
+        run_observer(guarded, sc.gain_set(), sc.N, init, sc.integrator_config(), sc.kind)
     assert str(excinfo.value) == "state component 4 became non-finite at t=28.59"
 
 

@@ -47,7 +47,6 @@ def test_gains_reference_mu_block():
     assert REF_GAINS.K[4] == pytest.approx(1.96221e-4, rel=1e-5)
     assert REF_GAINS.K[5] == pytest.approx(1.268556e-8, rel=1e-6)
     assert REF_GAINS.K[6] == pytest.approx(-2.69906e-13, rel=1e-5)
-    assert REF_GAINS.decay_bound == pytest.approx(1.0 / 19000.0, rel=1e-14)
 
 
 def test_gains_repeated_pole():
@@ -269,7 +268,7 @@ def test_assemble_reference_entries():
 
 
 def test_assemble_zero_gains_leaves_structure():
-    zero = GainSet(lam=(0,) * 4, mu=(0,) * 3, K=(0.0,) * 7, decay_bound=0.0)
+    zero = GainSet(lam=(0,) * 4, mu=(0,) * 3, K=(0.0,) * 7)
     m1 = assemble_m1(zero)
     expected = np.zeros((4, 4))
     expected[0, 2] = 1.0
@@ -360,7 +359,7 @@ def test_coefficient_error_against_a_zero_target_is_infinite():
 def test_wrong_gain_is_detected():
     broken_K = list(REF_GAINS.K)
     broken_K[2] *= 1.01
-    broken = GainSet(lam=REF_GAINS.lam, mu=REF_GAINS.mu, K=tuple(broken_K), decay_bound=0.0)
+    broken = GainSet(lam=REF_GAINS.lam, mu=REF_GAINS.mu, K=tuple(broken_K))
     target = np.array([1.0, 7.0, 17.75, 19.25, 7.5])
     coeffs = char_poly(assemble_m1(broken))
     assert np.max(np.abs(coeffs - target) / target) > 1e-4
@@ -461,7 +460,7 @@ def test_run_observer_log_block_converges_on_linear_data():
     assert abs(run.trajectory.states[-1, 2] - DELTA) / DELTA < 1e-3
 
 
-def test_flow_block_error_decay_bound_on_linear_data():
+def test_flow_block_error_decays_within_its_bound_on_linear_data():
     # Consistent truth on exactly exponential y1 is (y1, v, k) =
     # (y1, delta - rho, 0); errors seeded in the k component must decay
     # at least as fast as exp(-min_mu * integral(y1)) up to 10% slack.

@@ -71,13 +71,13 @@ def _cases():
     for command in ("simulate", "observe", "estimate", "identify", "check"):
         args = [command, "--t", "3"] if command == "identify" else [command]
         cases[f"beta1e300/{command}"] = ("params.beta = 1e300\n", args)
-    # Fast placement into quarantine, the observer past its stability
-    # (exit 3), and a recovery instant past the horizon (exit 2).
+    # Fast placement into quarantine, and a recovery instant past the
+    # horizon (exit 2).
     cases["alpha50/simulate"] = ("params.alpha = 50\n", ["simulate"])
+    # At 20 and 30 days the observer's fixed step is too long for its flow
+    # poles (stiffness 0.99 and 7.98): estimate refuses both before the
+    # observer steps (exit 2, no output files).
     cases["horizon30/estimate"] = ("sim.horizon = 30\n", ["estimate"])
-    # At 20 days the observer's fixed step is too long for its flow poles:
-    # a known fault that exits 0 with alpha about 17.7 off, so a fix
-    # shows up as a digest change.
     cases["horizon20/estimate--no-noise"] = ("sim.horizon = 20\n", ["estimate", "--no-noise"])
     # y2 = Q starts at 0: the one case whose guard substitutes a sample.
     cases["Q0zero/estimate"] = ("init.Q0 = 0\n", ["estimate"])
