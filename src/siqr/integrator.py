@@ -8,13 +8,13 @@ deterministic and trivially reproducible. A step works on one Python
 float per state component: on states of 4 and 7 components numpy's
 per-call overhead costs more than the arithmetic, and so does a Python
 call: one call per RK4 stage makes a run 1.39-1.40 times as long for
-the model, 1.21-1.22 for the observer (`studies/inline_cost.py`; Python
-3.11, KVM Xeon). A field's equations are therefore written once, as a
-`FieldBody` compiled to a function, and a `Field` binds its constants.
-`integrate` inlines a `Field` in an RK4 block generated for its body,
-which holds only the arithmetic: `integrate` stores the states and adds
-the failing step's time to an error. A `Field` is the only field
-`integrate` takes.
+the model, 1.21-1.22 for the observer (CHANGES.md, on the RK4 block's
+per-step overhead; Python 3.11, KVM Xeon). A field's equations are
+therefore written once, as a `FieldBody` compiled to a function, and a
+`Field` binds its constants. `integrate` inlines a `Field` in an RK4
+block generated for its body, which holds only the arithmetic:
+`integrate` stores the states and adds the failing step's time to an
+error. A `Field` is the only field `integrate` takes.
 """
 from __future__ import annotations
 

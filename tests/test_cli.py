@@ -454,6 +454,36 @@ def test_check_verifies_the_gains_the_scenario_built(monkeypatch):
     assert len(calls) == 1
 
 
+def test_stiffness_reads_the_truth_run_not_a_second_record(tmp_path, monkeypatch):
+    # The stiffness is read off the truth run the command already holds:
+    # estimate builds its one record, check builds none.
+    calls = []
+
+    def counted(traj, alpha):
+        calls.append(alpha)
+        return observe(traj, alpha)
+
+    monkeypatch.setattr(siqr.cli, "observe", counted)
+    cmd_estimate(scenario_in(tmp_path))
+    assert len(calls) == 1
+    cmd_check(Scenario())
+    assert len(calls) == 1  # none more
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+def test_stiffness_of_the_truth_run_is_that_of_the_clean_record(kind):
+    # max(alpha * I) = alpha * max(I) to the bit, since rounding is
+    # monotone: the figure is the one read off the noise-free record.
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        beta, log_n, horizon, dt = rng.uniform([0.2, 4.0, 5.0, 0.005], [0.8, 7.0, 30.0, 0.02])
+        sc = Scenario(kind=kind, beta=beta, N=10.0**log_n, horizon=horizon, dt=dt)
+        traj = simulate_truth(sc)
+        clean = observe(traj, sc.alpha)
+        expected = sc.dt * max(sc.mu) * float(np.max(clean.y1))
+        assert siqr.cli._stiffness(sc, traj).hex() == expected.hex(), sc
+
+
 # --- report and CSV writers ----------------------------------------------------
 
 

@@ -444,7 +444,9 @@ def _model_case(kind):
 
 def _observer_case(kind, noisy):
     sc = dataclasses.replace(Scenario(), kind=kind, horizon=12.0)
-    _, _, measurements = make_measurements(sc, noisy=noisy)
+    if not noisy:
+        sc = dataclasses.replace(sc, relative_sigma=0.0)
+    _, _, measurements = make_measurements(sc, noisy=True)
     guarded, _, _ = guard_measurements(measurements)
 
     def inputs(at):

@@ -165,7 +165,7 @@ def test_compiled_field_jacobian_is_the_designed_error_matrix(kind):
 
     sc = Scenario(kind=kind, relative_sigma=0.0)
     _, run, _ = estimate_scenario(sc)
-    _, clean, _ = make_measurements(sc, False)
+    _, clean, _ = make_measurements(sc, True)
     gs = sc.gain_set()
     field = _observer_field(gs, sc.N, kind)
     rows = [0, 1, 2, 3, 4, 6] if kind is ModelKind.FULL else list(range(7))

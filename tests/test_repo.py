@@ -163,6 +163,42 @@ def test_src_takes_no_float_power():
     assert powers == []
 
 
+# Attributes every NamedTuple has; their leading underscore keeps them
+# apart from the field names, it does not make them private.
+_NAMEDTUPLE_API = {"_fields", "_field_defaults", "_make", "_replace", "_asdict"}
+
+
+def test_studies_read_no_private_siqr_name():
+    # A study times or checks the library through its public names, so
+    # that a private name (the RK4 template, a field body, a helper) can
+    # change in one place. No file under studies/ imports an underscore
+    # name from siqr, or reads one off a name it imported from siqr;
+    # names that appear only in strings and docstrings do not count.
+    private = []
+    for path in sorted((ROOT / "studies").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names
+                             if alias.name.split(".")[0] == "siqr")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "siqr":
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        private.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+                    bound.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound and node.attr.startswith("_") \
+                    and not node.attr.startswith("__") and node.attr not in _NAMEDTUPLE_API:
+                private.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert private == []
+
+
 def test_field_bodies_hold_no_int_literal():
     # The bodies run on Python floats. CPython 3.11 specializes a compare
     # or an arithmetic op of two floats, not of a float and an int:
@@ -212,27 +248,19 @@ def test_frozen_benchmark_runs_against_this_src(tmp_path, monkeypatch):
     assert 0 < panel["recover_ok_frac"] <= 1
 
 
-_RK4_CASES = [f"{part} {kind}" for part in ("model", "observer") for kind in ("full", "simplified")]
 # {study: the cases its `measure` reports}
-_STUDIES = {"inline_cost": _RK4_CASES, "step_storage": _RK4_CASES,
-            "jet_form": ["jet full", "jet simplified"],
+_STUDIES = {"jet_form": ["jet full", "jet simplified"],
             "recover_form": ["recover full", "recover simplified"]}
 
 
 @pytest.mark.parametrize("script", list(_STUDIES))
 def test_study_runs_and_keeps_the_bits(monkeypatch, script):
-    # studies/inline_cost.py times `integrate` with its RK4 block, which
-    # inlines the field, against a block that calls the field once per
-    # stage. studies/step_storage.py times it against a block that
-    # stores a step by `extend` of a tuple, and against bodies that
-    # compare against the int 0. studies/jet_form.py times `output_jets`
-    # against the recurrence in a loop over the orders.
-    # studies/recover_form.py times the straight-line recoveries against
-    # their helper-based form, on drawn jets and on edge jets that must
-    # each raise as listed. Run small (20 steps, 20 drawn states or 20
-    # drawn jets), each must still build its forms and find the same
-    # bits, values or errors. step_storage imports inline_cost's cases
-    # from the studies directory.
+    # studies/jet_form.py times `output_jets` against the recurrence in a
+    # loop over the orders. studies/recover_form.py times the
+    # straight-line recoveries against their helper-based form, on drawn
+    # jets and on edge jets that must each raise as listed. Run small (20
+    # drawn states or 20 drawn jets), each must still build its forms and
+    # find the same bits, values or errors.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "studies"))
     try:
