@@ -44,25 +44,29 @@ class RecoveredParams(NamedTuple):
     epsilon: float
 
 
-def _check_finite(jet: OutputJet) -> None:
-    """Raise DegenerateInputError naming the first entry of the jet that
-    is not finite."""
-    for name, value in zip(OutputJet._fields[1:], jet[1:]):
-        if not math.isfinite(value):
-            raise DegenerateInputError(
-                f"jet entry {name} must be finite, got {value!r} (t={jet[0]!r})"
-            )
-
-
-def _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, N):
-    """The log-derivative chain of y1 from a jet's entries, as the plain
-    tuple (h1, dh1, ddh1, h2, dh2); the recoveries call it on their
-    unpacked jet.
+def _chain(jet: OutputJet, N: float):
+    """rho and the log-derivative chain of y1 from a jet, as the plain
+    tuple (rho, h1, dh1, ddh1, h2, dh2); both recoveries open with it.
 
     h1 is dy1/y1 (full-model convention; the simplified route adds rho
     separately), dh1 and ddh1 its first two time derivatives, h2 the
-    pool-scaled slope (N - y2) * dh1 and dh2 its derivative.
+    pool-scaled slope (N - y2) * dh1 and dh2 its derivative. In this
+    order it raises DegenerateInputError naming the first jet entry that
+    is not finite, SingularPointError for y2 <= 0 (rho) and for y1 <= 0
+    (the chain), and DegenerateInputError where the chain overflows.
     """
+    t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2 = jet
+    # 0.0 * x is a zero for finite x and NaN for an infinite or NaN x, so
+    # one product checks the seven entries; the loop names one.
+    if not 0.0 * y1 * dy1 * d2y1 * d3y1 * y2 * dy2 * d2y2 == 0.0:
+        for name, value in zip(OutputJet._fields[1:], jet[1:]):
+            if not math.isfinite(value):
+                raise DegenerateInputError(
+                    f"jet entry {name} must be finite, got {value!r} (t={t!r})"
+                )
+    if y2 <= 0:
+        raise SingularPointError(f"rho recovery needs y2 > 0, got y2={y2!r} (t={t!r})")
+    rho = float((y1 - dy2) / y2)
     if y1 <= 0:
         raise SingularPointError(
             f"log-derivative chain needs y1 > 0, got y1={y1!r} (t={t!r})"
@@ -74,12 +78,21 @@ def _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, N):
     ddh1 = a3 - 3.0 * a1 * a2 + 2.0 * (a1 * a1 * a1)
     h2 = (N - y2) * dh1
     dh2 = -dy2 * dh1 + (N - y2) * ddh1
-    # One product checks the five values, as in the recoveries' jet check.
+    # One product checks the five values, as for the jet's entries.
     if not 0.0 * a1 * dh1 * ddh1 * h2 * dh2 == 0.0:
         raise DegenerateInputError(
             f"log-derivative chain overflows, dy1/y1={a1!r} (t={t!r})"
         )
-    return a1, dh1, ddh1, h2, dh2
+    return rho, a1, dh1, ddh1, h2, dh2
+
+
+def _refuse_rates(t, rho, alpha, beta, epsilon):
+    """Raise DegenerateInputError for rates that overflow, else
+    RegimeError for rates that are not all positive."""
+    rec = RecoveredParams(rho, alpha, beta, epsilon)
+    if not 0.0 * rho * alpha * beta * epsilon == 0.0:
+        raise DegenerateInputError(f"recovery overflows, got {rec!r} (t={t!r})")
+    raise RegimeError(f"recovered rates must be positive, got {rec!r} (t={t!r})")
 
 
 def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
@@ -96,15 +109,8 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
     # Straight-line code on the unpacked jet, with no named tuple built on
     # the way: helper calls and NamedTuple construction cost more than the
     # arithmetic (studies/recover_form.py).
-    t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2 = jet
-    # 0.0 * x is a zero for finite x and NaN for an infinite or NaN x, so
-    # one product checks the seven entries; _check_finite names one.
-    if not 0.0 * y1 * dy1 * d2y1 * d3y1 * y2 * dy2 * d2y2 == 0.0:
-        _check_finite(jet)
-    if y2 <= 0:
-        raise SingularPointError(f"rho recovery needs y2 > 0, got y2={y2!r} (t={t!r})")
-    rho = float((y1 - dy2) / y2)
-    h1, dh1, _, h2, dh2 = _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, N)
+    t, y1, _, _, _, _, dy2, d2y2 = jet
+    rho, h1, dh1, _, h2, dh2 = _chain(jet, N)
     B = h2 * h1 - dh2
     C = h2 * (-h1 * dy2 + d2y2)
     if dh1 == 0.0:
@@ -145,12 +151,8 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
             f"ambiguous root selection, candidates {[a[0] for a in admissible]!r}"
         )
     alpha, beta, epsilon = float(alpha), float(beta), float(y1_at_0 / alpha)
-    if not 0.0 * rho * alpha * beta * epsilon == 0.0:
-        rec = RecoveredParams(rho, alpha, beta, epsilon)
-        raise DegenerateInputError(f"recovery overflows, got {rec!r} (t={t!r})")
-    if not (rho > 0 and alpha > 0 and beta > 0):
-        rec = RecoveredParams(rho, alpha, beta, epsilon)
-        raise RegimeError(f"recovered rates must be positive, got {rec!r} (t={t!r})")
+    if not (0.0 * rho * alpha * beta * epsilon == 0.0 and rho > 0 and alpha > 0 and beta > 0):
+        _refuse_rates(t, rho, alpha, beta, epsilon)
     return tuple.__new__(RecoveredParams, (rho, alpha, beta, epsilon))
 
 
@@ -168,13 +170,8 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     on runs with R0 <= 1, raises RegimeError.
     """
     # Straight-line code on the unpacked jet, as in recover_full.
-    t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2 = jet
-    if not 0.0 * y1 * dy1 * d2y1 * d3y1 * y2 * dy2 * d2y2 == 0.0:
-        _check_finite(jet)
-    if y2 <= 0:
-        raise SingularPointError(f"rho recovery needs y2 > 0, got y2={y2!r} (t={t!r})")
-    rho = float((y1 - dy2) / y2)
-    a1, dh1, _, _, _ = _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, N)
+    t, y1, _, d2y1, d3y1, _, _, _ = jet
+    rho, a1, dh1, _, _, _ = _chain(jet, N)
     if dh1 >= 0:
         raise RegimeError(
             f"dh1 must be negative on simplified-model data, got {dh1!r}"
@@ -193,12 +190,8 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
         raise DegenerateInputError(f"alpha vanishes at t={t!r}")
     beta = alpha * beta_i / y1
     alpha, beta, epsilon = float(alpha), float(beta), float(y1_at_0 / alpha)
-    if not 0.0 * rho * alpha * beta * epsilon == 0.0:
-        rec = RecoveredParams(rho, alpha, beta, epsilon)
-        raise DegenerateInputError(f"recovery overflows, got {rec!r} (t={t!r})")
-    if not (rho > 0 and alpha > 0 and beta > 0):
-        rec = RecoveredParams(rho, alpha, beta, epsilon)
-        raise RegimeError(f"recovered rates must be positive, got {rec!r} (t={t!r})")
+    if not (0.0 * rho * alpha * beta * epsilon == 0.0 and rho > 0 and alpha > 0 and beta > 0):
+        _refuse_rates(t, rho, alpha, beta, epsilon)
     return tuple.__new__(RecoveredParams, (rho, alpha, beta, epsilon))
 
 

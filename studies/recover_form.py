@@ -1,10 +1,11 @@
 """What `recover_full` and `recover_simplified` gain from running as
 straight-line code on the unpacked jet instead of through helpers.
 
-Each recovery reads the jet once, computes rho and the rate checks
-inline, takes the log-derivative chain as a plain tuple from
-`identify._chain`, and builds its `RecoveredParams` with `tuple.__new__`
-(a `RecoveredParams` for a message only where it raises). Their earlier
+Each recovery reads the jet once, takes rho and the log-derivative
+chain as a plain tuple from `identify._chain` (which also runs the jet's
+checks), checks the rates inline, and builds its `RecoveredParams` with
+`tuple.__new__` (a `RecoveredParams` for a message only where it raises,
+in `identify._refuse_rates`). Their earlier
 form called `_check_finite`, `recover_rho` and `h_chain`, filtered each
 root through `_admissible` and checked the rates in `_checked`, building
 an `HChain` and a `RecoveredParams` through the named tuples' `__new__`;
@@ -39,7 +40,7 @@ from siqr.models import is_full
 
 
 class _HChain(NamedTuple):
-    """The log-derivative chain of y1, as `identify._chain` returns it."""
+    """The log-derivative chain of y1, as the earlier `h_chain` returned it."""
 
     h1: float
     dh1: float

@@ -19,7 +19,7 @@ from siqr import (
     recover_full,
     recover_simplified,
 )
-from siqr.identify import RecoveredParams, _chain
+from siqr.identify import RecoveredParams
 from siqr.models import vector_field
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
@@ -118,7 +118,13 @@ def test_beta_routes_agree():
     rec = recover_full(jet, y1_at_0=REF.alpha * epsilon, N=REF.N)
     state0 = EpidemicState.from_array(outbreak_state(REF, epsilon))
     jet0 = output_jets(state0, REF, ModelKind.FULL)
-    h1, dh1, _, h2, dh2 = _chain(*jet0[:7], REF.N)
+    # The chain written out: at Q(0) = 0 the recoveries refuse the jet
+    # (y2 = 0), but the quadratic's coefficients are defined.
+    h1, a2, a3 = jet0.dy1 / jet0.y1, jet0.d2y1 / jet0.y1, jet0.d3y1 / jet0.y1
+    dh1 = a2 - h1 * h1
+    ddh1 = a3 - 3.0 * h1 * a2 + 2.0 * (h1 * h1 * h1)
+    h2 = (REF.N - jet0.y2) * dh1
+    dh2 = -jet0.dy2 * dh1 + (REF.N - jet0.y2) * ddh1
     a_coef = dh1
     b_coef = h2 * h1 - dh2
     c_coef = h2 * (-h1 * jet0.dy2 + jet0.d2y2)
@@ -191,6 +197,34 @@ def test_recovery_rejects_a_jet_entry_that_is_not_finite(recover, entry, value):
     jet = _FINITE_JET._replace(**{entry: value})
     message = rf"^jet entry {entry} must be finite, got .* \(t=2\.5\)$"
     with pytest.raises(DegenerateInputError, match=message):
+        recover(jet, y1_at_0=0.7, N=1e5)
+
+
+@pytest.mark.parametrize("recover", [recover_full, recover_simplified])
+@pytest.mark.parametrize("entry", ("y1", "dy1", "d2y2"))
+def test_recovery_names_a_non_finite_entry_before_refusing_y2(recover, entry):
+    # The finiteness check comes first: with y2 = 0 as well, the jet is
+    # refused for its non-finite entry, not for y2.
+    jet = _FINITE_JET._replace(y2=0.0, **{entry: float("nan")})
+    message = rf"^jet entry {entry} must be finite, got nan \(t=2\.5\)$"
+    with pytest.raises(DegenerateInputError, match=message):
+        recover(jet, y1_at_0=0.7, N=1e5)
+
+
+@pytest.mark.parametrize("recover", [recover_full, recover_simplified])
+def test_recovery_refuses_y2_before_y1(recover):
+    # rho's y2 > 0 comes before the chain's y1 > 0.
+    jet = _FINITE_JET._replace(y1=0.0, y2=0.0)
+    message = r"^rho recovery needs y2 > 0, got y2=0\.0 \(t=2\.5\)$"
+    with pytest.raises(SingularPointError, match=message):
+        recover(jet, y1_at_0=0.7, N=1e5)
+
+
+@pytest.mark.parametrize("recover", [recover_full, recover_simplified])
+def test_recovery_refuses_y1_once_y2_is_positive(recover):
+    jet = _FINITE_JET._replace(y1=0.0)
+    message = r"^log-derivative chain needs y1 > 0, got y1=0\.0 \(t=2\.5\)$"
+    with pytest.raises(SingularPointError, match=message):
         recover(jet, y1_at_0=0.7, N=1e5)
 
 
