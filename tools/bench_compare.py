@@ -1,7 +1,7 @@
 """Compare two revisions of siqr with the frozen benchmark.
 
     python tools/bench_compare.py BASE_REV [CHANGE_REV] --pr N \\
-        [--pairs 10] [--seconds 8] [--workloads sweep,identify] [--seed0 1] [--aa]
+        [--pairs 10] [--seconds 8] [--seed0 1] [--aa]
 
 CHANGE_REV defaults to HEAD. Each revision is checked out as a detached
 git worktree under `.bench_tmp/`, at `.bench_tmp/base` and
@@ -10,10 +10,9 @@ puts its checkout's path into PYTHONPATH and TMPDIR, and identical code
 has read 10-12% slower from a path three characters shorter.
 `bench/run.py` runs unchanged in each worktree, with `--trace 0`.
 
-For every workload (all of BENCHMARK.json's by default) the tool runs
-N pairs. Pair i runs both sides on seed SEED0 + i, the base first in
-even pairs and the change first in odd ones. For every end-to-end
-metric it reports each side's median and quartiles, the pairs the
+For every workload of BENCHMARK.json the tool runs N pairs. Pair i
+runs both sides on seed SEED0 + i, the base first in even pairs and the
+change first in odd ones. For every end-to-end metric it reports each side's median and quartiles, the pairs the
 change won (in the direction of the metric's `better`), and whether the
 change's median is worse than the base's by more than the metric's
 `bound`, relative to the base's median. `--aa` compares BASE_REV with
@@ -156,7 +155,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--workloads", help="comma-separated; default: all")
     parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--aa", action="store_true", help="compare BASE with itself")
     args = parser.parse_args(argv)
@@ -168,8 +166,7 @@ def main(argv=None) -> int:
     try:
         add_worktrees(commits)
         spec = json.loads((SIDES["base"] / "BENCHMARK.json").read_text())
-        workloads = (args.workloads.split(",") if args.workloads
-                     else [w["name"] for w in spec["workloads"]])
+        workloads = [w["name"] for w in spec["workloads"]]
 
         def runner(workload, side, seed):
             print(f"  {workload} seed {seed} {side}", file=sys.stderr, flush=True)
