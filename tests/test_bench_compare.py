@@ -36,15 +36,15 @@ def test_pairs_alternate_their_order_and_take_a_fresh_seed():
         calls.append((workload, side, seed))
         return _run(ops_per_s=1.0)
 
-    paired = bench_compare.run_pairs(runner, ["sweep", "identify"], 4, seed0=7)
+    paired = bench_compare.run_pairs(runner, ["sweep", "identify"], 4)
     assert calls == [
         (workload, side, seed)
         for workload in ("sweep", "identify")
-        for seed, order in zip(range(7, 11), [("base", "change"), ("change", "base")] * 2)
+        for seed, order in zip(range(1, 5), [("base", "change"), ("change", "base")] * 2)
         for side in order
     ]
     assert [(seed, first) for seed, first, _ in paired["identify"]] == [
-        (7, "base"), (8, "change"), (9, "base"), (10, "change")]
+        (1, "base"), (2, "change"), (3, "base"), (4, "change")]
 
 
 def test_summary_on_known_numbers():
@@ -64,6 +64,8 @@ def test_summary_on_known_numbers():
     assert ops["worse_by"] == pytest.approx(2.0 / 11.0)
     assert ops["worse_than_bound"] is False
     assert ops["change_median_within_base_quartiles"] is False
+    # The base's quartiles span 2/11 of its median, inside the bound.
+    assert ops["unresolved"] is False
 
     p90 = rows["op_ms_p90"]
     assert (p90["change"]["median"], p90["change"]["q1"], p90["change"]["q3"]) == (1.3, 1.2, 1.4)
@@ -71,6 +73,7 @@ def test_summary_on_known_numbers():
     assert p90["wins"] == 1
     assert p90["worse_by"] == pytest.approx(0.3)
     assert p90["worse_than_bound"] is True
+    assert p90["unresolved"] is False
 
 
 def test_a_single_pair_has_its_value_for_every_quartile():
@@ -81,3 +84,19 @@ def test_a_single_pair_has_its_value_for_every_quartile():
     assert rows["ops_per_s"]["wins"] == 0
     assert rows["ops_per_s"]["worse_by"] == 0.0
     assert rows["ops_per_s"]["change_median_within_base_quartiles"] is True
+
+
+def test_a_base_wider_than_the_bound_is_unresolved_unless_every_run_is_beaten():
+    # The base's quartiles 1.0-1.4 span a third of its median 1.2.
+    base = [_run(ops_per_s=1.0, op_ms_p90=v) for v in (1.0, 1.4, 1.2, 0.8, 1.6)]
+
+    def rows(change_p90):
+        paired = [(seed, "base", {"base": b, "change": _run(ops_per_s=1.0, op_ms_p90=w)})
+                  for seed, (b, w) in enumerate(zip(base, change_p90))]
+        return bench_compare.summarize(_METRICS, paired)["op_ms_p90"]
+
+    overlapping = rows((1.1, 0.9, 1.3, 1.0, 1.2))
+    assert overlapping["worse_than_bound"] is False
+    assert overlapping["unresolved"] is True
+    # Every change run below the base's fastest: the spread cannot hide that.
+    assert rows((0.5, 0.6, 0.7, 0.4, 0.55))["unresolved"] is False

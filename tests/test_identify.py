@@ -19,7 +19,7 @@ from siqr import (
     recover_full,
     recover_simplified,
 )
-from siqr.identify import RecoveredParams
+from siqr.identify import RecoveredParams, _chain
 from siqr.models import vector_field
 
 REF = ModelParams(beta=0.4, rho=0.1, alpha=0.07, N=1e5)
@@ -118,11 +118,11 @@ def test_beta_routes_agree():
     rec = recover_full(jet, y1_at_0=REF.alpha * epsilon, N=REF.N)
     state0 = EpidemicState.from_array(outbreak_state(REF, epsilon))
     jet0 = output_jets(state0, REF, ModelKind.FULL)
-    # The chain written out: at Q(0) = 0 the recoveries refuse the jet
-    # (y2 = 0), but the quadratic's coefficients are defined.
-    h1, a2, a3 = jet0.dy1 / jet0.y1, jet0.d2y1 / jet0.y1, jet0.d3y1 / jet0.y1
-    dh1 = a2 - h1 * h1
-    ddh1 = a3 - 3.0 * h1 * a2 + 2.0 * (h1 * h1 * h1)
+    # At Q(0) = 0 _chain refuses the jet (y2 = 0), but the quadratic's
+    # coefficients are defined. h1, dh1 and ddh1 do not read y2, so
+    # _chain gives them with y2 replaced; h2 and dh2 are written out.
+    # recover_full's round-trip tests cover _chain's own arithmetic.
+    _, h1, dh1, ddh1, _, _ = _chain(jet0._replace(y2=1.0), REF.N)
     h2 = (REF.N - jet0.y2) * dh1
     dh2 = -jet0.dy2 * dh1 + (REF.N - jet0.y2) * ddh1
     a_coef = dh1

@@ -1,26 +1,30 @@
 """Compare two revisions of siqr with the frozen benchmark.
 
-    python tools/bench_compare.py BASE_REV [CHANGE_REV] --pr N \\
-        [--pairs 10] [--seconds 8] [--seed0 1] [--aa]
+    python tools/bench_compare.py BASE_REV [CHANGE_REV] --pr N [--pairs 10]
 
 CHANGE_REV defaults to HEAD. Each revision is checked out as a detached
 git worktree under `.bench_tmp/`, at `.bench_tmp/base` and
 `.bench_tmp/chng`: paths of the same length, because `bench/run.py`
 puts its checkout's path into PYTHONPATH and TMPDIR, and identical code
 has read 10-12% slower from a path three characters shorter.
-`bench/run.py` runs unchanged in each worktree, with `--trace 0`.
+`bench/run.py` runs unchanged in each worktree, with `--trace 0` and
+the base's BENCHMARK.json `run_seconds`.
 
 For every workload of BENCHMARK.json the tool runs N pairs. Pair i
-runs both sides on seed SEED0 + i, the base first in even pairs and the
-change first in odd ones. For every end-to-end metric it reports each side's median and quartiles, the pairs the
-change won (in the direction of the metric's `better`), and whether the
-change's median is worse than the base's by more than the metric's
-`bound`, relative to the base's median. `--aa` compares BASE_REV with
-itself, in two worktrees, which shows how far identical code spreads
-on the host.
+(from 1) runs both sides on seed i, the base first in odd pairs and the
+change first in even ones. For every end-to-end metric it reports each
+side's median and quartiles, the pairs the change won (in the direction
+of the metric's `better`), and whether the change's median is worse
+than the base's by more than the metric's `bound`, relative to the
+base's median. A metric is unresolved where the base's quartiles span
+more than `bound` of its median, unless every change run beats every
+base run: its spread is too wide for the bound to tell. Passing the
+same revision twice compares it with itself, in two worktrees, which
+shows how far identical code spreads on the host.
 
 The result goes into `BENCH_<N>.json` at the repository root, under
-"change", or "aa" with `--aa`; a section the run did not make is kept.
+"aa" when both revisions are one commit and under "change" otherwise; a
+section the run did not make is kept.
 Each section holds both commits and the host: the Python, numpy and
 glibc versions, numpy's BLAS and found SIMD tiers, and the CPU count.
 The worktrees are removed at the end, also when a run fails. Standard
@@ -77,19 +81,19 @@ def bench_runner(workload: str, side: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_pairs(runner, workloads, pairs: int, seed0: int) -> dict:
+def run_pairs(runner, workloads, pairs: int) -> dict:
     """{workload: [(seed, first side, {side: run}), ...]} over `pairs` pairs.
 
     `runner(workload, side, seed)` returns one run's JSON line. Pair i
-    uses seed seed0 + i, and the base goes first in even pairs.
+    (from 1) uses seed i, and the base goes first in odd pairs.
     """
     out = {}
     for workload in workloads:
         out[workload] = []
-        for i in range(pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            runs = {side: runner(workload, side, seed0 + i) for side in order}
-            out[workload].append((seed0 + i, order[0], runs))
+        for seed in range(1, pairs + 1):
+            order = ("base", "change") if seed % 2 else ("change", "base")
+            runs = {side: runner(workload, side, seed) for side in order}
+            out[workload].append((seed, order[0], runs))
     return out
 
 
@@ -102,8 +106,9 @@ def spread(values) -> dict:
 
 
 def summarize(spec_metrics, paired) -> dict:
-    """Per end-to-end metric: both sides' spread, the change's wins, and
-    its median's relative move in the worse direction against `bound`."""
+    """Per end-to-end metric: both sides' spread, the change's wins, its
+    median's relative move in the worse direction against `bound`, and
+    whether the base spreads too widely for `bound` to tell."""
     rows = {}
     for metric in spec_metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
@@ -112,6 +117,7 @@ def summarize(spec_metrics, paired) -> dict:
         b, c = spread(base), spread(change)
         # + 0.0 turns a -0.0 into 0.0.
         worse_by = sign * (c["median"] - b["median"]) / abs(b["median"] or 1.0) + 0.0
+        beats_every_base_run = all(sign * (y - x) < 0 for x in base for y in change)
         rows[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "base": b, "change": c,
@@ -120,6 +126,8 @@ def summarize(spec_metrics, paired) -> dict:
             "worse_by": worse_by,
             "worse_than_bound": worse_by > metric["bound"],
             "change_median_within_base_quartiles": b["q1"] <= c["median"] <= b["q3"],
+            "unresolved": ((b["q3"] - b["q1"]) / abs(b["median"] or 1.0) > metric["bound"]
+                           and not beats_every_base_run),
         }
     return rows
 
@@ -129,7 +137,8 @@ def report(workload: str, rows: dict) -> None:
           "worse by, wins")
     for name, r in rows.items():
         b, c = r["base"], r["change"]
-        flag = "  WORSE THAN BOUND" if r["worse_than_bound"] else ""
+        flag = ("  WORSE THAN BOUND" if r["worse_than_bound"] else "") + (
+            "  UNRESOLVED" if r["unresolved"] else "")
         print(f"  {name:20s} {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  "
               f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
               f"{r['worse_by']:+.3f} (bound {r['bound']})  {r['wins']}/{r['pairs']}{flag}")
@@ -154,14 +163,10 @@ def main(argv=None) -> int:
     parser.add_argument("change", nargs="?", default="HEAD")
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--seed0", type=int, default=1)
-    parser.add_argument("--aa", action="store_true", help="compare BASE with itself")
     args = parser.parse_args(argv)
 
-    commits = {"base": git("rev-parse", f"{args.base}^{{commit}}")}
-    commits["change"] = commits["base"] if args.aa else git("rev-parse",
-                                                            f"{args.change}^{{commit}}")
+    commits = {side: git("rev-parse", f"{rev}^{{commit}}")
+               for side, rev in (("base", args.base), ("change", args.change))}
     (ROOT / ".bench_tmp").mkdir(exist_ok=True)
     try:
         add_worktrees(commits)
@@ -170,16 +175,16 @@ def main(argv=None) -> int:
 
         def runner(workload, side, seed):
             print(f"  {workload} seed {seed} {side}", file=sys.stderr, flush=True)
-            return bench_runner(workload, side, seed, args.seconds)
+            return bench_runner(workload, side, seed, spec["run_seconds"])
 
-        paired = run_pairs(runner, workloads, args.pairs, args.seed0)
+        paired = run_pairs(runner, workloads, args.pairs)
     finally:
         for path in SIDES.values():
             remove_worktree(path)
 
     section = {
-        "commits": commits, "host": host(), "pairs": args.pairs, "seconds": args.seconds,
-        "seeds": [args.seed0, args.seed0 + args.pairs - 1],
+        "commits": commits, "host": host(), "pairs": args.pairs,
+        "seconds": spec["run_seconds"], "seeds": [1, args.pairs],
         "workloads": {},
     }
     for workload, runs in paired.items():
@@ -192,7 +197,7 @@ def main(argv=None) -> int:
         }
     path = ROOT / f"BENCH_{args.pr}.json"
     record = json.loads(path.read_text()) if path.exists() else {}
-    record["aa" if args.aa else "change"] = section
+    record["aa" if commits["base"] == commits["change"] else "change"] = section
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}")
     return 0
