@@ -44,9 +44,11 @@ class RecoveredParams(NamedTuple):
     epsilon: float
 
 
-def _chain(jet: OutputJet, N: float):
-    """rho and the log-derivative chain of y1 from a jet, as the plain
-    tuple (rho, h1, dh1, ddh1, h2, dh2); both recoveries open with it.
+def _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2, N):
+    """rho and the log-derivative chain of y1 from a jet's entries, as
+    the plain tuple (rho, h1, dh1, ddh1, h2, dh2); both recoveries open
+    with it on their unpacked jet (unpacking a named tuple costs more
+    than passing its entries on).
 
     h1 is dy1/y1 (full-model convention; the simplified route adds rho
     separately), dh1 and ddh1 its first two time derivatives, h2 the
@@ -55,11 +57,10 @@ def _chain(jet: OutputJet, N: float):
     is not finite, SingularPointError for y2 <= 0 (rho) and for y1 <= 0
     (the chain), and DegenerateInputError where the chain overflows.
     """
-    t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2 = jet
     # 0.0 * x is a zero for finite x and NaN for an infinite or NaN x, so
     # one product checks the seven entries; the loop names one.
     if not 0.0 * y1 * dy1 * d2y1 * d3y1 * y2 * dy2 * d2y2 == 0.0:
-        for name, value in zip(OutputJet._fields[1:], jet[1:]):
+        for name, value in zip(OutputJet._fields[1:], (y1, dy1, d2y1, d3y1, y2, dy2, d2y2)):
             if not math.isfinite(value):
                 raise DegenerateInputError(
                     f"jet entry {name} must be finite, got {value!r} (t={t!r})"
@@ -109,8 +110,8 @@ def recover_full(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredParams:
     # Straight-line code on the unpacked jet, with no named tuple built on
     # the way: helper calls and NamedTuple construction cost more than the
     # arithmetic (studies/recover_form.py).
-    t, y1, _, _, _, _, dy2, d2y2 = jet
-    rho, h1, dh1, _, h2, dh2 = _chain(jet, N)
+    t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2 = jet
+    rho, h1, dh1, _, h2, dh2 = _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2, N)
     B = h2 * h1 - dh2
     C = h2 * (-h1 * dy2 + d2y2)
     if dh1 == 0.0:
@@ -170,8 +171,8 @@ def recover_simplified(jet: OutputJet, y1_at_0: float, N: float) -> RecoveredPar
     on runs with R0 <= 1, raises RegimeError.
     """
     # Straight-line code on the unpacked jet, as in recover_full.
-    t, y1, _, d2y1, d3y1, _, _, _ = jet
-    rho, a1, dh1, _, _, _ = _chain(jet, N)
+    t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2 = jet
+    rho, a1, dh1, _, _, _ = _chain(t, y1, dy1, d2y1, d3y1, y2, dy2, d2y2, N)
     if dh1 >= 0:
         raise RegimeError(
             f"dh1 must be negative on simplified-model data, got {dh1!r}"

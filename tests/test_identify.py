@@ -122,7 +122,7 @@ def test_beta_routes_agree():
     # coefficients are defined. h1, dh1 and ddh1 do not read y2, so
     # _chain gives them with y2 replaced; h2 and dh2 are written out.
     # recover_full's round-trip tests cover _chain's own arithmetic.
-    _, h1, dh1, ddh1, _, _ = _chain(jet0._replace(y2=1.0), REF.N)
+    _, h1, dh1, ddh1, _, _ = _chain(*jet0._replace(y2=1.0), REF.N)
     h2 = (REF.N - jet0.y2) * dh1
     dh2 = -jet0.dy2 * dh1 + (REF.N - jet0.y2) * ddh1
     a_coef = dh1
