@@ -245,12 +245,18 @@ def cmd_check(scenario: Scenario):
     return report
 
 
+# The commands, in the order `--help` lists them. `main` runs command c
+# as `cmd_<c>`, looked up in this module when it runs, so a wrapper that
+# replaces a module attribute (the bench's tracer does) is the one called.
+COMMANDS = ("simulate", "observe", "estimate", "identify", "check")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="siqr",
         description="Simulate the SIQR quarantine model and estimate its parameters.",
     )
-    parser.add_argument("command", choices=["simulate", "observe", "estimate", "identify", "check"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="scenario file (flat key = value lines)")
     parser.add_argument("--t", type=float, default=None, help="recovery instant (identify only)")
     parser.add_argument(
@@ -262,18 +268,10 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.config)
         if args.no_noise:
             scenario = dataclasses.replace(scenario, relative_sigma=0.0)
-        if args.command == "simulate":
-            cmd_simulate(scenario)
-        elif args.command == "observe":
-            cmd_observe(scenario)
-        elif args.command == "estimate":
-            cmd_estimate(scenario)
-        elif args.command == "identify":
-            if args.t is None:
-                raise ConfigError("identify needs --t INSTANT")
-            cmd_identify(scenario, args.t)
-        elif args.command == "check":
-            cmd_check(scenario)
+        if args.command == "identify" and args.t is None:
+            raise ConfigError("identify needs --t INSTANT")
+        extra = (args.t,) if args.command == "identify" else ()
+        globals()[f"cmd_{args.command}"](scenario, *extra)
     except (ConfigError, MeasurementError, OSError) as exc:
         # MeasurementError: the scenario's measurements have no positive
         # sample (noise clamped them all, or alpha*I0 underflowed).

@@ -76,16 +76,6 @@ def test_summary_on_known_numbers():
     assert p90["unresolved"] is False
 
 
-def test_a_single_pair_has_its_value_for_every_quartile():
-    paired = [(1, "base", {"base": _run(ops_per_s=5.0, op_ms_p90=2.0),
-                           "change": _run(ops_per_s=5.0, op_ms_p90=2.0)})]
-    rows = bench_compare.summarize(_METRICS, paired)
-    assert rows["ops_per_s"]["base"] == {"median": 5.0, "q1": 5.0, "q3": 5.0, "values": [5.0]}
-    assert rows["ops_per_s"]["wins"] == 0
-    assert rows["ops_per_s"]["worse_by"] == 0.0
-    assert rows["ops_per_s"]["change_median_within_base_quartiles"] is True
-
-
 def test_a_base_wider_than_the_bound_is_unresolved_unless_every_run_is_beaten():
     # The base's quartiles 1.0-1.4 span a third of its median 1.2.
     base = [_run(ops_per_s=1.0, op_ms_p90=v) for v in (1.0, 1.4, 1.2, 0.8, 1.6)]

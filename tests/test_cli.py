@@ -735,6 +735,14 @@ def test_main_identify_needs_t(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_unknown_command_exits_two_and_lists_the_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert re.search(r"invalid choice: 'bogus'.*simulate.*observe.*estimate.*identify.*check",
+                     capsys.readouterr().err)
+
+
 def test_main_bad_config_exits_two(tmp_path, capsys):
     config = tmp_path / "scenario.cfg"
     config.write_text("params.beta = -3\n")

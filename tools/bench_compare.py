@@ -1,6 +1,6 @@
 """Compare two revisions of siqr with the frozen benchmark.
 
-    python tools/bench_compare.py BASE_REV [CHANGE_REV] --pr N [--pairs 10]
+    python tools/bench_compare.py BASE_REV [CHANGE_REV] --pr N
 
 CHANGE_REV defaults to HEAD. Each revision is checked out as a detached
 git worktree under `.bench_tmp/`, at `.bench_tmp/base` and
@@ -10,7 +10,7 @@ has read 10-12% slower from a path three characters shorter.
 `bench/run.py` runs unchanged in each worktree, with `--trace 0` and
 the base's BENCHMARK.json `run_seconds`.
 
-For every workload of BENCHMARK.json the tool runs N pairs. Pair i
+For every workload of BENCHMARK.json the tool runs ten pairs. Pair i
 (from 1) runs both sides on seed i, the base first in odd pairs and the
 change first in even ones. For every end-to-end metric it reports each
 side's median and quartiles, the pairs the change won (in the direction
@@ -45,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # Equal lengths: the checkout path reaches the bench's environment.
 SIDES = {"base": ROOT / ".bench_tmp" / "base", "change": ROOT / ".bench_tmp" / "chng"}
+PAIRS = 10
 NUMPY_INFO = (
     "import json, numpy; c = numpy.show_config(mode='dicts'); "
     "blas = c['Build Dependencies']['blas']; "
@@ -100,8 +101,7 @@ def run_pairs(runner, workloads, pairs: int) -> dict:
 def spread(values) -> dict:
     """Median and quartiles (inclusive method: they stay within the
     data), and the values in pair order."""
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
@@ -162,7 +162,6 @@ def main(argv=None) -> int:
     parser.add_argument("base")
     parser.add_argument("change", nargs="?", default="HEAD")
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
     commits = {side: git("rev-parse", f"{rev}^{{commit}}")
@@ -177,14 +176,14 @@ def main(argv=None) -> int:
             print(f"  {workload} seed {seed} {side}", file=sys.stderr, flush=True)
             return bench_runner(workload, side, seed, spec["run_seconds"])
 
-        paired = run_pairs(runner, workloads, args.pairs)
+        paired = run_pairs(runner, workloads, PAIRS)
     finally:
         for path in SIDES.values():
             remove_worktree(path)
 
     section = {
-        "commits": commits, "host": host(), "pairs": args.pairs,
-        "seconds": spec["run_seconds"], "seeds": [1, args.pairs],
+        "commits": commits, "host": host(), "pairs": PAIRS,
+        "seconds": spec["run_seconds"], "seeds": [1, PAIRS],
         "workloads": {},
     }
     for workload, runs in paired.items():
