@@ -62,14 +62,6 @@ def test_exponential_decay_accuracy():
     assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-8
 
 
-def test_reference_run_conserves_population():
-    cfg = IntegratorConfig(dt=0.01, horizon=10.0)
-    x0 = np.array([99985.0, 10.0, 5.0, 0.0])
-    traj = integrate(vector_field(ModelKind.SIMPLIFIED, REF), x0, cfg)
-    totals = traj.states.sum(axis=1)
-    assert np.max(np.abs(totals - 1e5)) / 1e5 < 1e-6
-
-
 def test_domain_error_carries_time():
     bad_state = np.array([0.0, 1.0, 2e5, 0.0])
     cfg = IntegratorConfig(dt=0.01, horizon=1.0)
@@ -278,9 +270,6 @@ _FULL, _SIMPLIFIED = (vector_field(kind, REF) for kind in (ModelKind.FULL, Model
 @pytest.mark.parametrize(
     "field, reference, x0, dt, horizon",
     [
-        pytest.param(_FULL, _FULL, _REF_X0, 0.01, 10.0, id="ModelKind.FULL-0.01-10.0"),
-        pytest.param(_SIMPLIFIED, _SIMPLIFIED, _REF_X0, 0.01, 10.0,
-                     id="ModelKind.SIMPLIFIED-0.01-10.0"),
         # 2,500 steps: the last block is partial.
         pytest.param(_FULL, _FULL, _REF_X0, 0.004, 10.0, id="ModelKind.FULL-0.004-10.0"),
         # Exactly one block.
@@ -302,29 +291,6 @@ def test_model_run_equals_array_rk4_bitwise(field, reference, x0, dt, horizon):
         return np.array(reference(x.tolist()))
 
     assert np.array_equal(traj.states, _array_rk4(array_field, x0, cfg))
-
-
-@pytest.mark.parametrize("kind", [ModelKind.FULL, ModelKind.SIMPLIFIED])
-def test_observer_run_equals_array_rk4_bitwise(kind):
-    # 5% measurement noise, over 2,500 steps: `run_observer` takes the
-    # input rows of a block of steps at once, and the reference field
-    # (`observer_rhs`) the row of one stage at a time. Both take them
-    # from `observer._inputs`, and the two must give the same bits.
-    sc = dataclasses.replace(Scenario(), dt=0.004, kind=kind)
-    _, _, measurements = make_measurements(sc, noisy=True)
-    guarded, _, _ = guard_measurements(measurements)
-    init = sc.observer_init(guarded.y1[0], guarded.y2[0])
-    cfg, K = sc.integrator_config(), sc.gain_set()
-    run = run_observer(measurements, K, sc.N, init, cfg, sc.kind)
-
-    def array_field(x, y1, y2):
-        return observer_rhs(x, y1, y2, K, sc.N, kind)
-
-    def inputs(at):
-        return np.column_stack([np.interp(at, guarded.times, y) for y in (guarded.y1, guarded.y2)])
-
-    expected = _array_rk4(array_field, init, cfg, inputs)
-    assert np.array_equal(run.trajectory.states, expected)
 
 
 def test_steps_are_written_in_blocks_not_kept_as_rows():
@@ -384,25 +350,6 @@ def test_inputs_is_called_once_per_block_at_its_stage_times_in_order():
         assert np.all(np.diff(at) > 0)
 
 
-def test_rk4_observed_order_at_least_3_5():
-    # Fast epidemic wave so truncation error dominates roundoff on
-    # the prescribed step sizes.
-    params = ModelParams(beta=4.0, rho=1.0, alpha=0.7, N=1e5)
-    field = vector_field(ModelKind.SIMPLIFIED, params)
-    x0 = np.array([1e5 - 10.0, 10.0, 0.0, 0.0])
-    reference = integrate(x0=x0, rhs=field, cfg=IntegratorConfig(dt=0.000625, horizon=10.0)).states[-1]
-    dts = [0.04, 0.02, 0.01, 0.005]
-    errors = [
-        np.linalg.norm(
-            integrate(field, x0, IntegratorConfig(dt=dt, horizon=10.0)).states[-1]
-            - reference
-        )
-        for dt in dts
-    ]
-    slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
-    assert slope >= 3.5
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0, horizon=1.0)
@@ -439,23 +386,36 @@ def _calls_of(code, run):
 
 
 def _model_case(kind):
-    return vector_field(kind, REF), _REF_X0, None
+    """(field body, config, inlined run, called run) on the reference
+    run: `integrate` inlines the field, the array RK4 calls it."""
+    field, cfg = vector_field(kind, REF), IntegratorConfig(dt=0.01, horizon=12.0)
+    return (
+        field.body, cfg, lambda: integrate(field, _REF_X0, cfg).states,
+        lambda: _array_rk4(lambda x: np.array(field(x.tolist())), _REF_X0, cfg),
+    )
 
 
-def _observer_case(kind, noisy):
-    sc = dataclasses.replace(Scenario(), kind=kind, horizon=12.0)
+def _observer_case(kind, noisy, dt=0.01, horizon=12.0):
+    """As `_model_case`, for the observer on the guarded record:
+    `run_observer` takes the `_inputs` rows of a block of steps at once,
+    the array RK4 over `observer_rhs` the row of one stage."""
+    sc = dataclasses.replace(Scenario(), kind=kind, dt=dt, horizon=horizon)
     if not noisy:
         sc = dataclasses.replace(sc, relative_sigma=0.0)
     _, _, measurements = make_measurements(sc, noisy=True)
     guarded, _, _ = guard_measurements(measurements)
+    init = sc.observer_init(guarded.y1[0], guarded.y2[0])
+    cfg, K = sc.integrator_config(), sc.gain_set()
 
     def inputs(at):
-        u1 = np.interp(at, guarded.times, guarded.y1)
-        u2 = np.interp(at, guarded.times, guarded.y2)
-        return np.column_stack([u1, u2, np.log(u1), np.log(u2)])
+        return np.column_stack([np.interp(at, guarded.times, y) for y in (guarded.y1, guarded.y2)])
 
-    init = sc.observer_init(guarded.y1[0], guarded.y2[0])
-    return _observer_field(sc.gain_set(), sc.N, kind), init, inputs
+    return (
+        _observer_field(K, sc.N, kind).body, cfg,
+        lambda: run_observer(guarded, K, sc.N, init, cfg, kind).trajectory.states,
+        lambda: _array_rk4(lambda x, y1, y2: observer_rhs(x, y1, y2, K, sc.N, kind),
+                           init, cfg, inputs),
+    )
 
 
 @pytest.mark.parametrize(
@@ -466,25 +426,26 @@ def _observer_case(kind, noisy):
         *(pytest.param(lambda kind=kind, noisy=noisy: _observer_case(kind, noisy),
                        id=f"observer-{kind.value}-{'noisy' if noisy else 'noise-free'}")
           for kind in ModelKind for noisy in (True, False)),
+        # 2,500 steps: the last block is partial.
+        *(pytest.param(lambda kind=kind: _observer_case(kind, True, 0.004, 10.0),
+                       id=f"observer-{kind.value}-noisy-0.004-10.0")
+          for kind in ModelKind),
     ],
 )
 def test_inlined_field_equals_called_field_bitwise(case):
-    # 1,200 steps, over two blocks. `integrate` inlines a `Field`'s
-    # equations and never calls it; the array RK4 calls the same field,
-    # which runs the code compiled with its body once per stage, and must
-    # give the same bits.
-    field, x0, inputs = case()
-    cfg = IntegratorConfig(dt=0.01, horizon=12.0)
+    # 1,200 steps over two blocks (2,500 over three at dt = 0.004).
+    # `integrate` inlines a `Field`'s equations and never calls it; the
+    # array RK4 calls the same field, which runs the code compiled with
+    # its body once per stage, and must give the same bits.
+    body, cfg, inlined_run, called_run = case()
     assert cfg.n_steps > _BLOCK_ROWS
-    code = field.body.code
-    assert code.co_filename == f"<siqr field {field.body.name}>"
-    inlined, inlined_calls = _calls_of(code, lambda: integrate(field, x0, cfg, inputs))
-    called, called_calls = _calls_of(
-        code, lambda: _array_rk4(lambda x, *u: np.array(field(x.tolist(), *u)), x0, cfg, inputs)
-    )
+    code = body.code
+    assert code.co_filename == f"<siqr field {body.name}>"
+    inlined, inlined_calls = _calls_of(code, inlined_run)
+    called, called_calls = _calls_of(code, called_run)
     assert inlined_calls == 0
     assert called_calls == 4 * cfg.n_steps
-    assert np.array_equal(inlined.states, called)
+    assert np.array_equal(inlined, called)
 
 
 def _decay_body(state=("v",), constants=("k",), source=None):

@@ -221,12 +221,6 @@ def test_observer_single_step_golden_value():
 # --- estimator -------------------------------------------------------------
 
 
-def test_estimate_reference_round_trip():
-    beta = beta_hat(2.285714, 0.33)
-    assert beta == pytest.approx(0.4, rel=1e-6)
-    assert beta - 0.33 == pytest.approx(0.07, rel=1e-5)
-
-
 def test_estimate_zero_delta_collapses():
     beta = beta_hat(1.7, 0.0)
     assert beta == 0.0
@@ -281,17 +275,6 @@ def test_assemble_zero_gains_leaves_structure():
     expected2[0, 1] = 1.0
     expected2[1, 2] = -1e-5
     assert np.array_equal(m2, expected2)
-
-
-def test_char_poly_reference_m1():
-    coeffs = char_poly(assemble_m1(REF_GAINS))
-    assert coeffs == pytest.approx([1.0, 7.0, 17.75, 19.25, 7.5], rel=1e-12)
-
-
-def test_char_poly_reference_m2():
-    k5, k6, k7 = REF_GAINS.K[4], REF_GAINS.K[5], REF_GAINS.K[6]
-    coeffs = char_poly(assemble_m2(REF_GAINS, 1e5))
-    assert coeffs == pytest.approx([1.0, k5, k6, -k7], rel=1e-12)
 
 
 def test_char_poly_diagonal():
@@ -458,26 +441,6 @@ def test_run_observer_log_block_converges_on_linear_data():
     est = run.estimates
     assert abs(est.rho_hat[-1] - RHO) / RHO < 1e-3
     assert abs(run.trajectory.states[-1, 2] - DELTA) / DELTA < 1e-3
-
-
-def test_flow_block_error_decays_within_its_bound_on_linear_data():
-    # Consistent truth on exactly exponential y1 is (y1, v, k) =
-    # (y1, delta - rho, 0); errors seeded in the k component must decay
-    # at least as fast as exp(-min_mu * integral(y1)) up to 10% slack.
-    series = linear_series()
-    cfg = IntegratorConfig(dt=0.01, horizon=10.0)
-    weight = np.trapezoid(series.y1, series.times)
-    bound_factor = 1.1 * np.exp(-min(DEFAULT_MU) * weight)
-    for magnitude in (0.5, 1.0, 2.0):
-        init = consistent_state(
-            series.y1[0], series.y2[0], DELTA, RHO, DELTA - RHO, magnitude
-        )
-        run = run_observer(series, REF_GAINS, 1e5, init, cfg)
-        final = run.trajectory.states[-1]
-        e2_final = np.array(
-            [final[4] - series.y1[-1], final[5] - (DELTA - RHO), final[6] - 0.0]
-        )
-        assert np.linalg.norm(e2_final) <= bound_factor * magnitude
 
 
 def test_flow_block_k_error_bound_mixed_initial_error():
