@@ -577,6 +577,91 @@ def test_full_flow_block_matches_exact_curvature_on_reference_trajectory():
     assert worst[ModelKind.SIMPLIFIED] > 0.1
 
 
+def _scaled_mu(factor):
+    return tuple(m * factor for m in DEFAULT_MU)
+
+
+def _quarantine_inflow():
+    """Individuals placed in quarantine over the reference run: the
+    integral of y1 = alpha*I, which also weights the flow block's decay."""
+    from siqr.cli import simulate_truth
+
+    sc = Scenario()
+    traj = simulate_truth(sc)
+    return float(np.trapezoid(sc.alpha * traj.states[:, 1], traj.times))
+
+
+def _criterion_4_margin(factor):
+    """Criterion 4's worst error over its tolerance (< 1 passes) with
+    the seed pole vector scaled by `factor`."""
+    from siqr.cli import estimate_scenario
+
+    sc = replace(Scenario(), mu=_scaled_mu(factor), relative_sigma=0.0)
+    traj, run, _ = estimate_scenario(sc)
+    est = run.estimates
+    rel = max(abs(getattr(est, f"{name}_hat")[-1] - getattr(sc, name)) / getattr(sc, name)
+              for name in ("rho", "beta", "alpha"))
+    last_day = est.times >= sc.horizon - 1.0
+    i_err = np.max(np.abs(est.I_hat[last_day] - traj.states[last_day, 1])
+                   / traj.states[last_day, 1])
+    return max(rel / 0.05, i_err / 0.10)
+
+
+def _papers_block_alpha_error(factor):
+    """Final alpha_hat error, noise-free, when the paper's flow block
+    (no quarantine outflow) runs on the full model's record."""
+    from siqr.cli import make_measurements
+
+    sc = replace(Scenario(), mu=_scaled_mu(factor), relative_sigma=0.0)
+    guarded, _, _ = guard_measurements(make_measurements(sc, True)[2])
+    init = sc.observer_init(guarded.y1[0], guarded.y2[0])
+    run = run_observer(guarded, sc.gain_set(), sc.N, init, sc.integrator_config(),
+                       ModelKind.SIMPLIFIED)
+    return abs(run.estimates.alpha_hat[-1] - sc.alpha) / sc.alpha
+
+
+def _noisy_alpha_error(seed, mu):
+    """Criterion 5's alpha figure: mean relative error over days 8-10."""
+    from siqr.cli import estimate_scenario
+
+    sc = replace(Scenario(), seed=seed, mu=mu)
+    est = estimate_scenario(sc)[1].estimates
+    return float(np.mean(np.abs(est.alpha_hat[est.times >= 8.0] - sc.alpha)) / sc.alpha)
+
+
+@pytest.mark.parametrize(
+    "measure, low, high",
+    [
+        # README, criterion 4: "about 27 individuals in quarantine", and
+        # the seed pole vector shrinks the flow error by 0.9986.
+        pytest.param(_quarantine_inflow, 26.5, 27.5, id="quarantine-inflow-27"),
+        pytest.param(lambda: np.exp(-min(DEFAULT_MU) * _quarantine_inflow()), 0.99855, 0.99865,
+                     id="seed-mu-shrink-0.9986"),
+        # "Factors from about 1.5e4 to 5e4 pass"; at 1.2e4 the infected
+        # estimate misses its tolerance.
+        pytest.param(lambda: _criterion_4_margin(1.2e4), 1.0, np.inf, id="mu-x1.2e4-fails-4"),
+        pytest.param(lambda: _criterion_4_margin(1.5e4), 0.0, 1.0, id="mu-x1.5e4-passes-4"),
+        pytest.param(lambda: _criterion_4_margin(5e4), 0.0, 1.0, id="mu-x5e4-passes-4"),
+        # "alpha_hat is at best 23% off" without the outflow term.
+        pytest.param(lambda: min(map(_papers_block_alpha_error, (1.5e4, 1.9e4, 5e4))),
+                     0.225, 0.235, id="papers-block-alpha-23%"),
+        # Criterion 5: "K7*N ~ 1.9e5", and the alpha error over days 8-10
+        # is 2.2e4 to 2.5e4 for noise seeds 0-3 (criterion 5 prints seed
+        # 0's), 1.4 to 1.5 with the seed pole vector.
+        pytest.param(lambda: -Scenario().gain_set().K[6] * Scenario().N, 1.85e5, 1.95e5,
+                     id="K7N-1.9e5"),
+        *(pytest.param(lambda seed=seed: _noisy_alpha_error(seed, Scenario().mu),
+                       2.15e4, 2.55e4, id=f"noisy-alpha-seed-{seed}") for seed in (1, 2, 3)),
+        *(pytest.param(lambda seed=seed: _noisy_alpha_error(seed, DEFAULT_MU),
+                       1.35, 1.55, id=f"noisy-alpha-seed-mu-seed-{seed}") for seed in range(4)),
+    ],
+)
+def test_readme_figure_holds(measure, low, high):
+    # Each figure README's "Acceptance status" gives as measured, to the
+    # digits it prints.
+    assert low <= measure() < high
+
+
 def test_observer_rhs_without_kind_is_the_papers_field():
     # Written out term by term in the field's own order of operations,
     # so the comparison is exact.
