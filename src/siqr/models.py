@@ -73,7 +73,9 @@ class EpidemicState(NamedTuple):
 
     @classmethod
     def from_array(cls, x) -> "EpidemicState":
-        return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
+        """The state of a row of four numbers; ValueError for any other length."""
+        S, I, Q, R = x
+        return cls(float(S), float(I), float(Q), float(R))
 
 
 # The SIQR equations, the one place they are written: `vector_field`

@@ -109,7 +109,7 @@ def output_jets(
     ValueError if `kind` is not a `ModelKind`, and DomainError for the
     full model at Q >= N.
     """
-    beta, rho, a, N = float(params.beta), float(params.rho), float(params.alpha), float(params.N)
+    beta, rho, a, N = params.beta, params.rho, params.alpha, params.N
     s0, i0, q0, _ = state
     S0, I0, Q0 = float(s0), float(i0), float(q0)
     # f_k is the k-th coefficient of the infection term beta*S*I/(N - Q)

@@ -21,7 +21,7 @@ so on noisy data the seed vector is the safer setting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .integrator import IntegratorConfig, _real
@@ -36,6 +36,16 @@ DEFAULT_MU = (1.0 / 13000.0, 1.0 / 15000.0, 1.0 / 19000.0)
 REFERENCE_MU = tuple(m / min(DEFAULT_MU) for m in DEFAULT_MU)
 
 
+def _parse_floats(text):
+    return tuple(float(p) for p in text.split(",") if p.strip())
+
+
+def _key(key: str, default, convert=float):
+    """A `Scenario` field read from the file's `key`, whose value text
+    `convert` turns into the field's value."""
+    return field(default=default, metadata={"key": key, "convert": convert})
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One run's settings, valid by construction.
@@ -47,29 +57,30 @@ class Scenario:
     `integrator_config()` and `noise_spec()` build a new part at each
     call; `gain_set()` returns the `GainSet` the check built. The fields
     keep the values given. `relative_sigma = 0` is a noise-free run, as
-    `--no-noise` sets.
+    `--no-noise` sets. Each field declares its file key, and the
+    converter of its value text where that is not `float`, by `_key`.
     """
 
-    kind: ModelKind = ModelKind.FULL
-    beta: float = 0.4
-    rho: float = 0.1
-    alpha: float = 0.07
-    N: float = 1e5
-    I0: float = 10.0
-    Q0: float = 5.0
-    R0: float = 0.0
-    dt: float = 0.01
-    horizon: float = 10.0
-    lam: tuple = DEFAULT_LAMBDA
-    mu: tuple = REFERENCE_MU
-    relative_sigma: float = 0.05
-    seed: int = 0
-    smooth_window: int = 101
-    delta0: float = 0.2
-    rho0: float = 0.05
-    v0: float = 0.1
-    k0: float = 1.0
-    out_dir: str = "out"
+    kind: ModelKind = _key("model.kind", ModelKind.FULL, lambda text: ModelKind(text.lower()))
+    beta: float = _key("params.beta", 0.4)
+    rho: float = _key("params.rho", 0.1)
+    alpha: float = _key("params.alpha", 0.07)
+    N: float = _key("params.N", 1e5)
+    I0: float = _key("init.I0", 10.0)
+    Q0: float = _key("init.Q0", 5.0)
+    R0: float = _key("init.R0", 0.0)
+    dt: float = _key("sim.dt", 0.01)
+    horizon: float = _key("sim.horizon", 10.0)
+    lam: tuple = _key("poles.lambda", DEFAULT_LAMBDA, _parse_floats)
+    mu: tuple = _key("poles.mu", REFERENCE_MU, _parse_floats)
+    relative_sigma: float = _key("noise.relative_sigma", 0.05)
+    seed: int = _key("noise.seed", 0, int)
+    smooth_window: int = _key("smooth.window", 101, int)
+    delta0: float = _key("observer.delta0", 0.2)
+    rho0: float = _key("observer.rho0", 0.05)
+    v0: float = _key("observer.v0", 0.1)
+    k0: float = _key("observer.k0", 1.0)
+    out_dir: str = _key("out.dir", "out", str)
 
     def __post_init__(self):
         for prefix, check in (
@@ -123,33 +134,8 @@ class Scenario:
         return ObserverState(z1, z2, self.delta0, self.rho0, y1, self.v0, self.k0)
 
 
-def _parse_floats(text):
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
 # key -> (Scenario field, converter of the value text)
-_KEYS = {
-    "model.kind": ("kind", lambda text: ModelKind(text.lower())),
-    "params.beta": ("beta", float),
-    "params.rho": ("rho", float),
-    "params.alpha": ("alpha", float),
-    "params.N": ("N", float),
-    "init.I0": ("I0", float),
-    "init.Q0": ("Q0", float),
-    "init.R0": ("R0", float),
-    "sim.dt": ("dt", float),
-    "sim.horizon": ("horizon", float),
-    "poles.lambda": ("lam", _parse_floats),
-    "poles.mu": ("mu", _parse_floats),
-    "noise.relative_sigma": ("relative_sigma", float),
-    "noise.seed": ("seed", int),
-    "smooth.window": ("smooth_window", int),
-    "observer.delta0": ("delta0", float),
-    "observer.rho0": ("rho0", float),
-    "observer.v0": ("v0", float),
-    "observer.k0": ("k0", float),
-    "out.dir": ("out_dir", str),
-}
+_KEYS = {f.metadata["key"]: (f.name, f.metadata["convert"]) for f in fields(Scenario)}
 
 
 def parse_scenario(text: str) -> Scenario:

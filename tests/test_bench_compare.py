@@ -25,35 +25,37 @@ def _run(**values):
 
 def test_worktree_paths_have_equal_length():
     # The bench puts its checkout's path into PYTHONPATH and TMPDIR.
-    base, change = (str(path) for path in bench_compare.SIDES.values())
-    assert base != change and len(base) == len(change)
+    paths = [str(path) for path in bench_compare.SIDES.values()]
+    assert len(set(paths)) == 3 and len({len(path) for path in paths}) == 1
 
 
-def test_pairs_alternate_their_order_and_take_a_fresh_seed():
+def test_each_seed_runs_every_side_and_rotates_the_first():
     calls = []
 
     def runner(workload, side, seed):
         calls.append((workload, side, seed))
         return _run(ops_per_s=1.0)
 
-    paired = bench_compare.run_pairs(runner, ["sweep", "identify"], 4)
+    runs = bench_compare.run_seeds(runner, ["sweep", "identify"], 4)
+    orders = [("base", "change", "again"), ("change", "again", "base"),
+              ("again", "base", "change"), ("base", "change", "again")]
     assert calls == [
         (workload, side, seed)
         for workload in ("sweep", "identify")
-        for seed, order in zip(range(1, 5), [("base", "change"), ("change", "base")] * 2)
+        for seed, order in zip(range(1, 5), orders)
         for side in order
     ]
-    assert [(seed, first) for seed, first, _ in paired["identify"]] == [
-        (1, "base"), (2, "change"), (3, "base"), (4, "change")]
+    assert [(seed, order) for seed, order, _ in runs["identify"]] == list(zip(range(1, 5), orders))
+    assert all(set(by_side) == {"base", "change", "again"} for _, _, by_side in runs["sweep"])
 
 
 def test_summary_on_known_numbers():
     base = [_run(ops_per_s=v, op_ms_p90=1.0) for v in (10.0, 12.0, 11.0, 13.0, 9.0)]
     change = [_run(ops_per_s=v, op_ms_p90=w)
               for v, w in zip((11.0, 9.0, 8.0, 7.0, 10.0), (1.3, 1.2, 0.9, 1.4, 1.5))]
-    paired = [(seed, "base", {"base": b, "change": c})
-              for seed, (b, c) in enumerate(zip(base, change))]
-    rows = bench_compare.summarize(_METRICS, paired)
+    runs = [(seed, ("base", "change"), {"base": b, "change": c})
+            for seed, (b, c) in enumerate(zip(base, change))]
+    rows = bench_compare.summarize(_METRICS, runs, "change")
 
     ops = rows["ops_per_s"]
     assert (ops["base"]["median"], ops["base"]["q1"], ops["base"]["q3"]) == (11.0, 10.0, 12.0)
@@ -63,7 +65,7 @@ def test_summary_on_known_numbers():
     assert (ops["wins"], ops["pairs"]) == (2, 5)
     assert ops["worse_by"] == pytest.approx(2.0 / 11.0)
     assert ops["worse_than_bound"] is False
-    assert ops["change_median_within_base_quartiles"] is False
+    assert ops["median_within_base_quartiles"] is False
     # The base's quartiles span 2/11 of its median, inside the bound.
     assert ops["unresolved"] is False
 
@@ -81,9 +83,9 @@ def test_a_base_wider_than_the_bound_is_unresolved_unless_every_run_is_beaten():
     base = [_run(ops_per_s=1.0, op_ms_p90=v) for v in (1.0, 1.4, 1.2, 0.8, 1.6)]
 
     def rows(change_p90):
-        paired = [(seed, "base", {"base": b, "change": _run(ops_per_s=1.0, op_ms_p90=w)})
-                  for seed, (b, w) in enumerate(zip(base, change_p90))]
-        return bench_compare.summarize(_METRICS, paired)["op_ms_p90"]
+        runs = [(seed, ("base", "again"), {"base": b, "again": _run(ops_per_s=1.0, op_ms_p90=w)})
+                for seed, (b, w) in enumerate(zip(base, change_p90))]
+        return bench_compare.summarize(_METRICS, runs, "again")["op_ms_p90"]
 
     overlapping = rows((1.1, 0.9, 1.3, 1.0, 1.2))
     assert overlapping["worse_than_bound"] is False

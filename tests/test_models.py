@@ -25,6 +25,12 @@ rates = st.floats(min_value=1e-3, max_value=2.0, allow_nan=False)
 sizes = st.floats(min_value=0.0, max_value=25000.0, allow_nan=False)
 
 
+@pytest.mark.parametrize("row", [np.zeros(5), [1.0, 2.0, 3.0], np.zeros(0)])
+def test_from_array_refuses_a_row_that_is_not_four_numbers(row):
+    with pytest.raises(ValueError, match="values to unpack"):
+        EpidemicState.from_array(row)
+
+
 def test_rhs_simplified_reference_values():
     d = vector_field(ModelKind.SIMPLIFIED, REF)(REF_STATE)
     assert d == pytest.approx([-3.9994, 2.2994, 0.2, 1.5], rel=1e-12)

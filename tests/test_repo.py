@@ -5,6 +5,7 @@ import inspect
 import math
 import pkgutil
 import re
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -115,6 +116,17 @@ def test_cli_matrix_digests_a_case():
     assert digests["stderr"] == hashlib.sha256(b"").hexdigest()
     assert digests["exit"] == hashlib.sha256(b"0").hexdigest()
     assert run.stderr == ""
+
+
+def test_cli_matrix_allkeys_case_moves_every_key_but_out_dir():
+    # The all-keys case digests the parser's whole key set end to end: it
+    # sets every key off its default but out.dir, which the tool sets.
+    config, _ = runpy.run_path(str(ROOT / "tools" / "cli_matrix.py"))["_cases"]()["allkeys/estimate"]
+    keys = [line.partition("=")[0].strip() for line in config.splitlines()]
+    assert sorted(keys) == sorted(set(_KEYS) - {"out.dir"})
+    parsed, default = siqr.parse_scenario(config), siqr.Scenario()
+    assert [name for name, _ in _KEYS.values()
+            if getattr(parsed, name) == getattr(default, name)] == ["out_dir"]
 
 
 def test_src_takes_logs_only_in_the_observer_input_map():

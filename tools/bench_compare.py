@@ -2,32 +2,36 @@
 
     python tools/bench_compare.py BASE_REV [CHANGE_REV] --pr N
 
-CHANGE_REV defaults to HEAD. Each revision is checked out as a detached
-git worktree under `.bench_tmp/`, at `.bench_tmp/base` and
-`.bench_tmp/chng`: paths of the same length, because `bench/run.py`
-puts its checkout's path into PYTHONPATH and TMPDIR, and identical code
-has read 10-12% slower from a path three characters shorter.
-`bench/run.py` runs unchanged in each worktree, with `--trace 0` and
-the base's BENCHMARK.json `run_seconds`.
+CHANGE_REV defaults to HEAD. The base is checked out twice and the
+change once, as detached git worktrees at `.bench_tmp/base`,
+`.bench_tmp/agin` (the base again) and `.bench_tmp/chng`: paths of the
+same length, because `bench/run.py` puts its checkout's path into
+PYTHONPATH and TMPDIR, and identical code has read 10-12% slower from a
+path three characters shorter. `bench/run.py` runs unchanged in each
+worktree, with `--trace 0` and the base's BENCHMARK.json `run_seconds`.
 
-For every workload of BENCHMARK.json the tool runs ten pairs. Pair i
-(from 1) runs both sides on seed i, the base first in odd pairs and the
-change first in even ones. For every end-to-end metric it reports each
-side's median and quartiles, the pairs the change won (in the direction
-of the metric's `better`), and whether the change's median is worse
-than the base's by more than the metric's `bound`, relative to the
-base's median. A metric is unresolved where the base's quartiles span
-more than `bound` of its median, unless every change run beats every
-base run: its spread is too wide for the bound to tell. Passing the
-same revision twice compares it with itself, in two worktrees, which
-shows how far identical code spreads on the host.
+For every workload of BENCHMARK.json the tool runs ten seeds. Seed i
+(from 1) runs all three worktrees, one after the other, the first of
+them rotating: base, change, again for seed 1, change, again, base for
+seed 2, again, base, change for seed 3, and so on. So the comparison
+(base against change) and the A/A run (base against its second
+worktree) are measured in the same time window, and the A/A spread
+shows how far identical code reads apart on the host while the
+comparison runs. For each of the two and every end-to-end metric it
+reports each side's median and quartiles, the pairs the other side won
+against the base (in the direction of the metric's `better`), and
+whether the other side's median is worse than the base's by more than
+the metric's `bound`, relative to the base's median. A metric is
+unresolved where the base's quartiles span more than `bound` of its
+median, unless every run of the other side beats every base run: its
+spread is too wide for the bound to tell.
 
-The result goes into `BENCH_<N>.json` at the repository root, under
-"aa" when both revisions are one commit and under "change" otherwise; a
-section the run did not make is kept.
-Each section holds both commits and the host: the Python, numpy and
-glibc versions, numpy's BLAS and found SIMD tiers, and the CPU count.
-The worktrees are removed at the end, also when a run fails. Standard
+The result goes into `BENCH_<N>.json` at the repository root, replacing
+a file of that name: both commits, the host (the Python, numpy and glibc
+versions, numpy's BLAS and found SIMD tiers, and the CPU count), each
+workload's run order and failed-op counts, and the statistics under
+"change" (base against change) and "aa" (base against again). The
+worktrees are removed at the end, also when a run fails. Standard
 library only; numpy is queried in a child interpreter.
 """
 from __future__ import annotations
@@ -44,8 +48,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # Equal lengths: the checkout path reaches the bench's environment.
-SIDES = {"base": ROOT / ".bench_tmp" / "base", "change": ROOT / ".bench_tmp" / "chng"}
-PAIRS = 10
+SIDES = {side: ROOT / ".bench_tmp" / name
+         for side, name in (("base", "base"), ("change", "chng"), ("again", "agin"))}
+SEEDS = 10
+# Section of BENCH_<N>.json -> the side compared with the base.
+SECTIONS = {"change": "change", "aa": "again"}
 NUMPY_INFO = (
     "import json, numpy; c = numpy.show_config(mode='dicts'); "
     "blas = c['Build Dependencies']['blas']; "
@@ -82,19 +89,21 @@ def bench_runner(workload: str, side: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_pairs(runner, workloads, pairs: int) -> dict:
-    """{workload: [(seed, first side, {side: run}), ...]} over `pairs` pairs.
+def run_seeds(runner, workloads, seeds: int) -> dict:
+    """{workload: [(seed, order, {side: run}), ...]} over `seeds` seeds.
 
-    `runner(workload, side, seed)` returns one run's JSON line. Pair i
-    (from 1) uses seed i, and the base goes first in odd pairs.
+    `runner(workload, side, seed)` returns one run's JSON line. Seed i
+    (from 1) runs every side, in SIDES' order rotated left by i - 1.
     """
+    sides = list(SIDES)
     out = {}
     for workload in workloads:
         out[workload] = []
-        for seed in range(1, pairs + 1):
-            order = ("base", "change") if seed % 2 else ("change", "base")
+        for seed in range(1, seeds + 1):
+            k = (seed - 1) % len(sides)
+            order = tuple(sides[k:] + sides[:k])
             runs = {side: runner(workload, side, seed) for side in order}
-            out[workload].append((seed, order[0], runs))
+            out[workload].append((seed, order, runs))
     return out
 
 
@@ -105,38 +114,38 @@ def spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def summarize(spec_metrics, paired) -> dict:
-    """Per end-to-end metric: both sides' spread, the change's wins, its
-    median's relative move in the worse direction against `bound`, and
-    whether the base spreads too widely for `bound` to tell."""
+def summarize(spec_metrics, runs, other: str) -> dict:
+    """Per end-to-end metric: the base's and `other` side's spread,
+    `other`'s wins, its median's relative move in the worse direction
+    against `bound`, and whether the base spreads too widely for `bound`
+    to tell."""
     rows = {}
     for metric in spec_metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
-        base = [runs["base"]["metrics"][name]["value"] for _, _, runs in paired]
-        change = [runs["change"]["metrics"][name]["value"] for _, _, runs in paired]
-        b, c = spread(base), spread(change)
+        base = [by_side["base"]["metrics"][name]["value"] for _, _, by_side in runs]
+        theirs = [by_side[other]["metrics"][name]["value"] for _, _, by_side in runs]
+        b, c = spread(base), spread(theirs)
         # + 0.0 turns a -0.0 into 0.0.
         worse_by = sign * (c["median"] - b["median"]) / abs(b["median"] or 1.0) + 0.0
-        beats_every_base_run = all(sign * (y - x) < 0 for x in base for y in change)
+        beats_every_base_run = all(sign * (y - x) < 0 for x in base for y in theirs)
         rows[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-            "base": b, "change": c,
-            "wins": sum(sign * (y - x) < 0 for x, y in zip(base, change)),
-            "pairs": len(paired),
+            "base": b, other: c,
+            "wins": sum(sign * (y - x) < 0 for x, y in zip(base, theirs)),
+            "pairs": len(runs),
             "worse_by": worse_by,
             "worse_than_bound": worse_by > metric["bound"],
-            "change_median_within_base_quartiles": b["q1"] <= c["median"] <= b["q3"],
+            "median_within_base_quartiles": b["q1"] <= c["median"] <= b["q3"],
             "unresolved": ((b["q3"] - b["q1"]) / abs(b["median"] or 1.0) > metric["bound"]
                            and not beats_every_base_run),
         }
     return rows
 
 
-def report(workload: str, rows: dict) -> None:
-    print(f"{workload}: metric, base median [q1, q3], change median [q1, q3], "
-          "worse by, wins")
+def report(title: str, rows: dict, other: str) -> None:
+    print(f"{title}: metric, base median [q1, q3], {other} median [q1, q3], worse by, wins")
     for name, r in rows.items():
-        b, c = r["base"], r["change"]
+        b, c = r["base"], r[other]
         flag = ("  WORSE THAN BOUND" if r["worse_than_bound"] else "") + (
             "  UNRESOLVED" if r["unresolved"] else "")
         print(f"  {name:20s} {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  "
@@ -168,7 +177,7 @@ def main(argv=None) -> int:
                for side, rev in (("base", args.base), ("change", args.change))}
     (ROOT / ".bench_tmp").mkdir(exist_ok=True)
     try:
-        add_worktrees(commits)
+        add_worktrees({**commits, "again": commits["base"]})
         spec = json.loads((SIDES["base"] / "BENCHMARK.json").read_text())
         workloads = [w["name"] for w in spec["workloads"]]
 
@@ -176,27 +185,26 @@ def main(argv=None) -> int:
             print(f"  {workload} seed {seed} {side}", file=sys.stderr, flush=True)
             return bench_runner(workload, side, seed, spec["run_seconds"])
 
-        paired = run_pairs(runner, workloads, PAIRS)
+        runs = run_seeds(runner, workloads, SEEDS)
     finally:
         for path in SIDES.values():
             remove_worktree(path)
 
-    section = {
-        "commits": commits, "host": host(), "pairs": PAIRS,
-        "seconds": spec["run_seconds"], "seeds": [1, PAIRS],
-        "workloads": {},
+    record = {
+        "commits": commits, "host": host(), "seconds": spec["run_seconds"],
+        "seeds": [1, SEEDS], "workloads": {},
+        **{section: {} for section in SECTIONS},
     }
-    for workload, runs in paired.items():
-        rows = summarize(spec["end_to_end"], runs)
-        report(workload, rows)
-        section["workloads"][workload] = {
-            "first": [first for _, first, _ in runs],
-            "failed": {side: [r[side]["failed"] for _, _, r in runs] for side in SIDES},
-            "metrics": rows,
+    for workload, by_seed in runs.items():
+        record["workloads"][workload] = {
+            "order": [list(order) for _, order, _ in by_seed],
+            "failed": {side: [r[side]["failed"] for _, _, r in by_seed] for side in SIDES},
         }
+        for section, other in SECTIONS.items():
+            rows = summarize(spec["end_to_end"], by_seed, other)
+            report(f"{workload} {section}", rows, other)
+            record[section][workload] = rows
     path = ROOT / f"BENCH_{args.pr}.json"
-    record = json.loads(path.read_text()) if path.exists() else {}
-    record["aa" if commits["base"] == commits["change"] else "change"] = section
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}")
     return 0

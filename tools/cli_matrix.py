@@ -57,6 +57,29 @@ import tempfile
 from pathlib import Path
 
 
+_ALL_KEYS = """\
+model.kind = simplified
+params.beta = 0.45
+params.rho = 0.12
+params.alpha = 0.08
+params.N = 2e5
+init.I0 = 12
+init.Q0 = 4
+init.R0 = 1
+sim.dt = 0.005
+sim.horizon = 8
+poles.lambda = 1.2, 1.6, 2.1, 2.4
+poles.mu = 1.3, 1.2, 0.9
+noise.relative_sigma = 0.03
+noise.seed = 7
+smooth.window = 51
+observer.delta0 = 0.25
+observer.rho0 = 0.06
+observer.v0 = 0.12
+observer.k0 = 1.5
+"""
+
+
 def _cases():
     """{case name: (scenario lines, command arguments)}."""
     cases = {}
@@ -82,6 +105,9 @@ def _cases():
     # y2 = Q starts at 0: the one case whose guard substitutes a sample.
     cases["Q0zero/estimate"] = ("init.Q0 = 0\n", ["estimate"])
     cases["identify--t20"] = ("", ["identify", "--t", "20"])
+    # Every scenario key but out.dir at a value other than its default, so
+    # the whole key set reaches the outputs (stiffness 0.046, exit 0).
+    cases["allkeys/estimate"] = (_ALL_KEYS, ["estimate"])
     return cases
 
 
