@@ -27,7 +27,7 @@ sizes = st.floats(min_value=0.0, max_value=25000.0, allow_nan=False)
 
 @pytest.mark.parametrize("row", [np.zeros(5), [1.0, 2.0, 3.0], np.zeros(0)])
 def test_from_array_refuses_a_row_that_is_not_four_numbers(row):
-    with pytest.raises(ValueError, match="values to unpack"):
+    with pytest.raises(ValueError, match="a state row has 4 entries"):
         EpidemicState.from_array(row)
 
 
