@@ -29,24 +29,29 @@ def test_worktree_paths_have_equal_length():
     assert len(set(paths)) == 3 and len({len(path) for path in paths}) == 1
 
 
-def test_each_seed_runs_every_side_and_rotates_the_first():
+def test_each_seed_runs_every_side_and_alternates_the_order():
     calls = []
 
     def runner(workload, side, seed):
         calls.append((workload, side, seed))
         return _run(ops_per_s=1.0)
 
-    runs = bench_compare.run_seeds(runner, ["sweep", "identify"], 4)
-    orders = [("base", "change", "again"), ("change", "again", "base"),
-              ("again", "base", "change"), ("base", "change", "again")]
+    runs = bench_compare.run_seeds(runner, ["sweep", "identify"], 10)
+    forward, backward = ("base", "change", "again"), ("again", "change", "base")
+    orders = [forward, backward] * 5
     assert calls == [
         (workload, side, seed)
         for workload in ("sweep", "identify")
-        for seed, order in zip(range(1, 5), orders)
+        for seed, order in zip(range(1, 11), orders)
         for side in order
     ]
-    assert [(seed, order) for seed, order, _ in runs["identify"]] == list(zip(range(1, 5), orders))
+    assert [(seed, order) for seed, order, _ in runs["identify"]] == list(zip(range(1, 11), orders))
     assert all(set(by_side) == {"base", "change", "again"} for _, _, by_side in runs["sweep"])
+    # Over ten seeds, each side of each compared pair runs first five times.
+    for other in ("change", "again"):
+        base_first = sum(order.index("base") < order.index(other)
+                         for _, order, _ in runs["identify"])
+        assert base_first == 5
 
 
 def test_summary_on_known_numbers():

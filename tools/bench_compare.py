@@ -11,11 +11,12 @@ path three characters shorter. `bench/run.py` runs unchanged in each
 worktree, with `--trace 0` and the base's BENCHMARK.json `run_seconds`.
 
 For every workload of BENCHMARK.json the tool runs ten seeds. Seed i
-(from 1) runs all three worktrees, one after the other, the first of
-them rotating: base, change, again for seed 1, change, again, base for
-seed 2, again, base, change for seed 3, and so on. So the comparison
-(base against change) and the A/A run (base against its second
-worktree) are measured in the same time window, and the A/A spread
+(from 1) runs all three worktrees, one after the other: base, change,
+again for an odd seed and again, change, base for an even one, so in
+each compared pair (base and change, base and again) either side runs
+first in five of the ten seeds. The comparison (base against change)
+and the A/A run (base against its second worktree) are thus measured
+in the same time window and under the same order, and the A/A spread
 shows how far identical code reads apart on the host while the
 comparison runs. For each of the two and every end-to-end metric it
 reports each side's median and quartiles, the pairs the other side won
@@ -93,15 +94,14 @@ def run_seeds(runner, workloads, seeds: int) -> dict:
     """{workload: [(seed, order, {side: run}), ...]} over `seeds` seeds.
 
     `runner(workload, side, seed)` returns one run's JSON line. Seed i
-    (from 1) runs every side, in SIDES' order rotated left by i - 1.
+    (from 1) runs every side, in SIDES' order for an odd i and reversed
+    for an even one.
     """
-    sides = list(SIDES)
     out = {}
     for workload in workloads:
         out[workload] = []
         for seed in range(1, seeds + 1):
-            k = (seed - 1) % len(sides)
-            order = tuple(sides[k:] + sides[:k])
+            order = tuple(SIDES) if seed % 2 else tuple(reversed(SIDES))
             runs = {side: runner(workload, side, seed) for side in order}
             out[workload].append((seed, order, runs))
     return out
