@@ -579,12 +579,6 @@ def _curvature_miss():
     return worst
 
 
-def test_full_flow_block_matches_exact_curvature_on_reference_trajectory():
-    worst = _curvature_miss()
-    assert worst[ModelKind.FULL] < 2e-3
-    assert worst[ModelKind.SIMPLIFIED] > 0.1
-
-
 def _scaled_mu(factor):
     return tuple(m * factor for m in DEFAULT_MU)
 
