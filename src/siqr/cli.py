@@ -282,7 +282,3 @@ def main(argv=None) -> int:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -37,7 +37,7 @@ REFERENCE_MU = tuple(m / min(DEFAULT_MU) for m in DEFAULT_MU)
 
 
 def _parse_floats(text):
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(float(p) for p in text.split(","))
 
 
 def _key(key: str, default, convert=float):

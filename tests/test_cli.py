@@ -33,7 +33,7 @@ from siqr.cli import (
 from siqr.cli import estimate_scenario, make_measurements
 from siqr.integrator import IntegratorConfig, Trajectory
 from siqr.models import ModelParams, vector_field
-from siqr.observation import NoiseSpec, observe
+from siqr.observation import NoiseSpec, add_noise, observe
 from siqr.observer import _inputs, _observer_field, gains, guard_measurements, run_observer
 from siqr.scenario import DEFAULT_LAMBDA, REFERENCE_MU
 
@@ -130,6 +130,9 @@ def test_every_field_has_one_key_whose_default_text_parses_back():
         ("poles.lambda = 1, 1.5, 2", "poles.lambda"),
         ("poles.mu = nan, 1, 1", "poles.mu"),
         ("poles.mu = 0.1, 0.2, 0.3, 0.4", "poles.mu"),
+        # A list has no empty entry: float('') is refused.
+        ("poles.lambda = 1,,2,3,4", "poles.lambda"),
+        ("poles.lambda = 1, 1.5, 2, 2.5,", "poles.lambda"),
         ("smooth.window = 100", "smooth.window"),
         ("observer.k0 = inf", "observer.k0"),
         ("params.rho = fast", "params.rho"),
@@ -322,77 +325,12 @@ def test_replace_takes_the_parsers_path(field, value, key):
 # --- commands ---------------------------------------------------------------
 
 
-def test_cmd_simulate_schema_and_conservation(tmp_path):
-    sc = scenario_in(tmp_path)
-    path = cmd_simulate(sc)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,S,I,Q,R"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    totals = data[:, 1:].sum(axis=1)
-    assert np.max(np.abs(totals - sc.N)) / sc.N < 1e-6
-
-
-def test_cmd_simulate_is_byte_deterministic(tmp_path):
-    sc = scenario_in(tmp_path)
-    first = cmd_simulate(sc).read_bytes()
-    second = cmd_simulate(sc).read_bytes()
-    assert first == second
-
-
-def test_cmd_observe_schema_and_noise_determinism(tmp_path):
-    sc = scenario_in(tmp_path)
-    path = cmd_observe(sc)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,y1,y2,y1_noisy,y2_noisy"
-    first = path.read_bytes()
-    second = cmd_observe(sc).read_bytes()
-    assert first == second
-
-
-def test_cmd_observe_no_noise_copies_clean_columns(tmp_path):
-    sc = scenario_in(tmp_path)
-    path = cmd_observe(replace(sc, relative_sigma=0.0))
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 1], data[:, 3])
-    assert np.array_equal(data[:, 2], data[:, 4])
-
-
 def test_csv_writer_emits_nan_as_empty_field(tmp_path):
     from siqr.cli import _write_csv
 
     path = tmp_path / "x.csv"
     _write_csv(path, ["t", "v"], [[0.0, 1.0], [3.5, float("nan")]])
     assert path.read_text() == "t,v\n0.0,3.5\n1.0,\n"
-
-
-def test_cmd_estimate_outputs(tmp_path, capsys):
-    sc = scenario_in(tmp_path)
-    run, traj, smoothed = cmd_estimate(replace(sc, relative_sigma=0.0))
-    out = capsys.readouterr().out
-    assert "final_rel_error.rho_hat" in out
-    assert "guard_substitutions.y1 = 0" in out
-    assert "stiffness" in out
-    est_path = tmp_path / "out" / "estimates.csv"
-    lines = est_path.read_text().splitlines()
-    assert lines[0] == "t,rho_hat,beta_hat,alpha_hat,I_hat,I_hat_smoothed,clamp_active"
-    assert (tmp_path / "out" / "summary.txt").exists()
-    assert smoothed.size == run.estimates.times.size
-
-
-def test_cmd_identify_round_trip(tmp_path, capsys):
-    sc = scenario_in(tmp_path)
-    rec = cmd_identify(sc, t=1.0)
-    assert rec.rho == pytest.approx(0.1, rel=1e-6)
-    assert rec.alpha == pytest.approx(0.07, rel=1e-6)
-    assert rec.beta == pytest.approx(0.4, rel=1e-6)
-    assert rec.epsilon == pytest.approx(10.0, rel=1e-6)
-    assert "recovered.beta" in capsys.readouterr().out
-
-
-def test_cmd_identify_simplified_kind(tmp_path):
-    sc = scenario_in(tmp_path, "model.kind = simplified")
-    rec = cmd_identify(sc, t=1.0)
-    assert rec.beta == pytest.approx(0.4, rel=1e-6)
 
 
 def test_cmd_identify_takes_and_labels_the_step_nearest_t(tmp_path, monkeypatch):
@@ -416,19 +354,6 @@ def test_cmd_identify_rejects_time_outside_horizon(tmp_path):
         cmd_identify(sc, t=0.0)
     with pytest.raises(ConfigError):
         cmd_identify(sc, t=11.0)
-
-
-def test_cmd_check_report(tmp_path, capsys):
-    sc = scenario_in(tmp_path)
-    report = cmd_check(sc)
-    assert report["assumption.a1"] is True
-    assert report["assumption.a2"] is True
-    assert report["poles.m1_ok"] and report["poles.m2_ok"]
-    assert report["inequality.dh1_at_0"] == pytest.approx(-1.31987e-5, rel=1e-4)
-    assert report["inequality.cterm_at_0"] == pytest.approx(0.0923908, rel=1e-4)
-    assert report["inequality.ok"] is True
-    out = capsys.readouterr().out
-    assert "poles.m1_ok = true" in out
 
 
 def test_check_verifies_the_gains_the_scenario_built(monkeypatch):
@@ -509,6 +434,21 @@ def test_truth_csv_fields_read_back_bitwise(tmp_path, kind):
     _assert_fields_read_back(columns[0], traj.times)
     for j in range(4):
         _assert_fields_read_back(columns[j + 1], traj.states[:, j])
+    assert np.max(np.abs(traj.states.sum(axis=1) - sc.N)) / sc.N < 1e-6
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-free"])
+def test_measurements_csv_fields_read_back_bitwise(tmp_path, noisy):
+    sc = scenario_in(tmp_path, "" if noisy else "noise.relative_sigma = 0")
+    header, columns = _csv_columns(cmd_observe(sc))
+    clean = observe(simulate_truth(sc), sc.alpha)
+    # The noise-free run copies the clean series into the noisy columns.
+    noised = add_noise(clean, sc.noise_spec()) if noisy else clean
+    assert header == ["t", "y1", "y2", "y1_noisy", "y2_noisy"]
+    values = [clean.times, clean.y1, clean.y2, noised.y1, noised.y2]
+    for fields, column in zip(columns, values, strict=True):
+        _assert_fields_read_back(fields, column)
+    assert (columns[1] != columns[3]) is noisy
 
 
 def test_estimates_csv_fields_read_back_bitwise(tmp_path, capsys):
@@ -517,7 +457,9 @@ def test_estimates_csv_fields_read_back_bitwise(tmp_path, capsys):
     capsys.readouterr()
     est = run.estimates
     header, columns = _csv_columns(tmp_path / "out" / "estimates.csv")
-    assert header[-1] == "clamp_active"
+    assert header == [
+        "t", "rho_hat", "beta_hat", "alpha_hat", "I_hat", "I_hat_smoothed", "clamp_active"
+    ]
     values = [est.times, est.rho_hat, est.beta_hat, est.alpha_hat, est.I_hat, smoothed]
     for fields, column in zip(columns, values):
         _assert_fields_read_back(fields, column)
@@ -527,10 +469,14 @@ def test_estimates_csv_fields_read_back_bitwise(tmp_path, capsys):
 
 
 def test_summary_report_keys_and_values(tmp_path, capsys):
+    # `--no-noise` runs the reference scenario on its noise-free record.
     sc = scenario_in(tmp_path)
-    run, _, _ = cmd_estimate(replace(sc, relative_sigma=0.0))
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"out.dir = {sc.out_dir}\n")
+    assert main(["estimate", "--config", str(config), "--no-noise"]) == 0
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert capsys.readouterr().out == summary
+    _, run, _ = estimate_scenario(replace(sc, relative_sigma=0.0))
     fields = _report_fields(summary)
     assert list(fields) == [
         "final.rho_hat",
@@ -607,6 +553,7 @@ def test_identify_report_keys_and_values(tmp_path, capsys, kind):
         value = getattr(rec, name)
         assert fields[f"recovered.{name}"] == repr(value)
         assert fields[f"recovered_rel_error.{name}"] == repr(abs(value - true_value) / true_value)
+        assert abs(value - true_value) / true_value < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -644,6 +591,7 @@ def test_check_report_keys_and_values(tmp_path, capsys, text, ok, stiffness):
         else:
             assert fields[key] == repr(value)
     assert fields["inequality.ok"] == ("true" if ok else "false")
+    assert all(value for value in report.values() if isinstance(value, bool)) is ok
     assert round(report["stiffness"], 2) == stiffness
 
 
@@ -704,13 +652,6 @@ def test_estimate_runs_the_bench_corner(tmp_path, capsys, kind):
 # --- argv-level behaviour -----------------------------------------------------
 
 
-def test_main_check_exits_zero(tmp_path, capsys):
-    config = tmp_path / "scenario.cfg"
-    config.write_text(f"out.dir = {tmp_path / 'out'}\n")
-    assert main(["check", "--config", str(config)]) == 0
-    capsys.readouterr()
-
-
 def test_main_check_at_underflowing_flow_poles(tmp_path, capsys):
     # m3 = mu1*mu2*mu3 underflows to 0 in both polynomials: the report
     # passes the placement it prints no error for, and warns of nothing.
@@ -733,13 +674,6 @@ def test_main_unknown_command_exits_two_and_lists_the_commands(capsys):
     assert exc.value.code == 2
     assert re.search(r"invalid choice: 'bogus'.*simulate.*observe.*estimate.*identify.*check",
                      capsys.readouterr().err)
-
-
-def test_main_bad_config_exits_two(tmp_path, capsys):
-    config = tmp_path / "scenario.cfg"
-    config.write_text("params.beta = -3\n")
-    assert main(["simulate", "--config", str(config)]) == 2
-    assert "params.beta" in capsys.readouterr().err
 
 
 def test_main_identify_names_both_candidates_of_an_ambiguous_root(tmp_path, capsys):
@@ -881,13 +815,6 @@ def test_main_noise_that_overflows_warns_nothing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_main_estimate_no_noise_runs(tmp_path, capsys):
-    config = tmp_path / "scenario.cfg"
-    config.write_text(f"out.dir = {tmp_path / 'out'}\n")
-    assert main(["estimate", "--config", str(config), "--no-noise"]) == 0
-    capsys.readouterr()
-
-
 # --- exit-code contract -------------------------------------------------------
 
 
@@ -929,10 +856,11 @@ _OPTIONAL = {
     "observer.v0": _floats(-2.0, 2.0),
     "observer.k0": _floats(-5.0, 5.0),
 }
-# Out-of-range and malformed values, any key. sim.dt and sim.horizon
-# only take values the parser rejects or runs within the step bound.
-_EXTREME = {
-    **{key: _ANY_FLOAT for key in _OPTIONAL},
+# Out-of-range and malformed values, for every key the test does not set
+# itself: any float text, or the narrower form given here. sim.dt and
+# sim.horizon only take values the parser rejects or runs within the step
+# bound.
+_MALFORMED = {
     "model.kind": st.sampled_from(["", "Full", "sir"]),
     "sim.dt": st.one_of(_SPECIAL, st.floats(max_value=0.0).map(repr)),
     "sim.horizon": st.one_of(_SPECIAL, st.floats(max_value=2.0).map(repr)),
@@ -941,6 +869,7 @@ _EXTREME = {
     "noise.seed": _ANY_INT,
     "smooth.window": _ANY_INT,
 }
+_EXTREME = {key: _MALFORMED.get(key, _ANY_FLOAT) for key in siqr.scenario._KEYS if key != "out.dir"}
 _EXTREME_ITEMS = st.lists(
     st.sampled_from(sorted(_EXTREME)).flatmap(lambda k: _EXTREME[k].map(lambda v: (k, v))),
     max_size=3,
@@ -982,12 +911,13 @@ _SHORT_RUN = {"sim.dt": "0.5", "sim.horizon": "2", "smooth.window": "1"}
 @given(
     runnable=st.fixed_dictionaries(_RUNNABLE, optional=_OPTIONAL),
     extreme=_EXTREME_ITEMS,
-    command=st.sampled_from(["simulate", "observe", "estimate", "identify", "check"]),
+    command=st.sampled_from(siqr.cli.COMMANDS),
     t=st.one_of(_floats(0.0, 2.0), _ANY_FLOAT),
     noisy=st.booleans(),
 )
 def test_main_exit_code_is_in_the_contract(runnable, extreme, command, t, noisy):
     # 0 ok, 2 config error, 3 numerical divergence; anything else is a crash.
+    assert _MALFORMED.keys() <= _EXTREME.keys()
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.cfg"
         lines = [f"{key} = {value}" for key, value in {**runnable, **extreme}.items()]
