@@ -133,6 +133,10 @@ def test_every_field_has_one_key_whose_default_text_parses_back():
         # A list has no empty entry: float('') is refused.
         ("poles.lambda = 1,,2,3,4", "poles.lambda"),
         ("poles.lambda = 1, 1.5, 2, 2.5,", "poles.lambda"),
+        ("poles.lambda = ,1, 1.5, 2, 2.5", "poles.lambda"),
+        ("poles.lambda = 1, , 1.5, 2, 2.5", "poles.lambda"),
+        ("poles.mu = 1.46, 1.27, 1.0,", "poles.mu"),
+        ("poles.mu = 1.46,, 1.27, 1.0", "poles.mu"),
         ("smooth.window = 100", "smooth.window"),
         ("observer.k0 = inf", "observer.k0"),
         ("params.rho = fast", "params.rho"),
@@ -438,8 +442,10 @@ def test_truth_csv_fields_read_back_bitwise(tmp_path, kind):
 
 
 @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-free"])
-def test_measurements_csv_fields_read_back_bitwise(tmp_path, noisy):
-    sc = scenario_in(tmp_path, "" if noisy else "noise.relative_sigma = 0")
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_measurements_csv_fields_read_back_bitwise(tmp_path, kind, noisy):
+    noise = "" if noisy else "noise.relative_sigma = 0"
+    sc = scenario_in(tmp_path, f"model.kind = {kind}\n{noise}")
     header, columns = _csv_columns(cmd_observe(sc))
     clean = observe(simulate_truth(sc), sc.alpha)
     # The noise-free run copies the clean series into the noisy columns.
@@ -451,8 +457,9 @@ def test_measurements_csv_fields_read_back_bitwise(tmp_path, noisy):
     assert (columns[1] != columns[3]) is noisy
 
 
-def test_estimates_csv_fields_read_back_bitwise(tmp_path, capsys):
-    sc = scenario_in(tmp_path)
+@pytest.mark.parametrize("kind", ["full", "simplified"])
+def test_estimates_csv_fields_read_back_bitwise(tmp_path, capsys, kind):
+    sc = scenario_in(tmp_path, f"model.kind = {kind}")
     run, _, smoothed = cmd_estimate(sc)
     capsys.readouterr()
     est = run.estimates
@@ -468,11 +475,16 @@ def test_estimates_csv_fields_read_back_bitwise(tmp_path, capsys):
     assert [field == "1" for field in columns[-1]] == est.clamp_active.tolist()
 
 
-def test_summary_report_keys_and_values(tmp_path, capsys):
-    # `--no-noise` runs the reference scenario on its noise-free record.
-    sc = scenario_in(tmp_path)
+# The noise-free run has an infected estimate from the step after
+# `last_nan_t` on only.
+@pytest.mark.parametrize(
+    "kind, finite, last_nan_t", [("full", 314, "6.88"), ("simplified", 320, "6.82")]
+)
+def test_summary_report_keys_and_values(tmp_path, capsys, kind, finite, last_nan_t):
+    # `--no-noise` runs the scenario on its noise-free record.
+    sc = scenario_in(tmp_path, f"model.kind = {kind}")
     config = tmp_path / "scenario.cfg"
-    config.write_text(f"out.dir = {sc.out_dir}\n")
+    config.write_text(f"model.kind = {kind}\nout.dir = {sc.out_dir}\n")
     assert main(["estimate", "--config", str(config), "--no-noise"]) == 0
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert capsys.readouterr().out == summary
@@ -495,9 +507,8 @@ def test_summary_report_keys_and_values(tmp_path, capsys):
         final = float(getattr(run.estimates, name)[-1])
         assert fields[f"final.{name}"] == repr(final)
         assert fields[f"final_rel_error.{name}"] == repr(abs(final - true_value) / true_value)
-    # The reference run has an infected estimate from t = 6.89 on only.
-    assert fields["I_hat.finite_frac"] == repr(314 / 1001)
-    assert fields["I_hat.last_nan_t"] == "6.88"
+    assert fields["I_hat.finite_frac"] == repr(finite / 1001)
+    assert fields["I_hat.last_nan_t"] == last_nan_t
     # The noise-free record starts at Q0 = 5 > 0: nothing is substituted.
     assert fields["guard_substitutions.y1"] == "0"
     assert fields["guard_substitutions.y2"] == "0"
